@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/zipf.hpp"
-
 namespace rmcc::util
 {
 
@@ -57,17 +55,7 @@ Rng::next()
 std::uint64_t
 Rng::nextBelow(std::uint64_t bound)
 {
-    // Lemire's multiply-shift with rejection for exact uniformity.
-    if (bound == 0)
-        return 0;
-    while (true) {
-        const std::uint64_t x = next();
-        const unsigned __int128 m =
-            static_cast<unsigned __int128>(x) * bound;
-        const std::uint64_t lo = static_cast<std::uint64_t>(m);
-        if (lo >= bound || lo >= static_cast<std::uint64_t>(-bound) % bound)
-            return static_cast<std::uint64_t>(m >> 64);
-    }
+    return below(bound, [this] { return next(); });
 }
 
 std::uint64_t
@@ -79,14 +67,13 @@ Rng::nextInRange(std::uint64_t lo, std::uint64_t hi)
 double
 Rng::nextDouble()
 {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    return toDouble(next());
 }
 
 bool
 Rng::nextBool(double p)
 {
-    p = std::clamp(p, 0.0, 1.0);
-    return nextDouble() < p;
+    return toBool(next(), p);
 }
 
 std::uint32_t
@@ -97,13 +84,6 @@ Rng::nextGeometric(double mean)
     const double u = 1.0 - nextDouble(); // in (0, 1]
     const double v = -mean * std::log(u);
     return static_cast<std::uint32_t>(std::min(v, 1.0e9));
-}
-
-std::uint64_t
-Rng::nextZipf(std::uint64_t n, double s)
-{
-    ZipfSampler sampler(n, s);
-    return sampler(*this);
 }
 
 Rng

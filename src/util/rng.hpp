@@ -12,6 +12,7 @@
 #ifndef RMCC_UTIL_RNG_HPP
 #define RMCC_UTIL_RNG_HPP
 
+#include <algorithm>
 #include <cstdint>
 
 namespace rmcc::util
@@ -47,16 +48,46 @@ class Rng
      */
     std::uint32_t nextGeometric(double mean);
 
-    /**
-     * Zipf-distributed rank in [0, n) with exponent s; used to give graph
-     * workloads their power-law vertex popularity.  Uses precomputed CDF,
-     * so construct a util::ZipfSampler (util/zipf.hpp) for hot loops
-     * instead.
-     */
-    std::uint64_t nextZipf(std::uint64_t n, double s);
-
     /** Fork a statistically independent child generator. */
     Rng fork();
+
+    // How raw next() words decode into values.  The draws above are these
+    // applied to next(); they are public so a caller that reads the
+    // stream ahead (to prefetch what upcoming words will touch) decodes
+    // its buffered words into exactly the values the draws would return.
+
+    /** The nextDouble() value of word @p w. */
+    static double toDouble(std::uint64_t w)
+    {
+        return static_cast<double>(w >> 11) * 0x1.0p-53;
+    }
+
+    /** The nextBool(p) value of word @p w. */
+    static bool toBool(std::uint64_t w, double p)
+    {
+        return toDouble(w) < std::clamp(p, 0.0, 1.0);
+    }
+
+    /**
+     * The nextBelow(bound) value, drawing words from @p next_word:
+     * Lemire's multiply-shift with rejection for exact uniformity, so it
+     * may take more than one word.
+     */
+    template <class NextWord>
+    static std::uint64_t below(std::uint64_t bound, NextWord &&next_word)
+    {
+        if (bound == 0)
+            return 0;
+        while (true) {
+            const std::uint64_t x = next_word();
+            const unsigned __int128 m =
+                static_cast<unsigned __int128>(x) * bound;
+            const auto lo = static_cast<std::uint64_t>(m);
+            if (lo >= bound ||
+                lo >= static_cast<std::uint64_t>(-bound) % bound)
+                return static_cast<std::uint64_t>(m >> 64);
+        }
+    }
 
   private:
     std::uint64_t s_[4];

@@ -1,6 +1,5 @@
 #include "util/zipf.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/rng.hpp"
@@ -39,16 +38,7 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s)
 std::uint64_t
 ZipfSampler::operator()(Rng &rng) const
 {
-    const double u = rng.nextDouble();
-    // u lies in bucket k, so its lower_bound lies in
-    // [guide[k], guide[k+1]]: cdf[guide[k+1]] >= (k+1)/K > u.
-    const auto k = static_cast<std::size_t>(u * buckets_);
-    const auto first = cdf_.begin() + guide_[k];
-    const auto last =
-        cdf_.begin() +
-        std::min<std::size_t>(guide_[k + 1] + 1, cdf_.size());
-    return static_cast<std::uint64_t>(
-        std::lower_bound(first, last, u) - cdf_.begin());
+    return rank(rng.nextDouble());
 }
 
 double

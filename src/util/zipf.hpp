@@ -3,14 +3,14 @@
  * Precomputed-CDF Zipf sampler, shared by workload generation, fault
  * storms, and the tenancy traffic mixer.
  *
- * Hoisted out of the RNG module once tenant traffic shares needed the
- * same guide-table trick as power-law graph construction: the sampler is
- * a standalone object so hot loops build the CDF once and draw millions
- * of ranks, while Rng::nextZipf stays as the convenience one-shot.
+ * The sampler is a standalone object so hot loops build the CDF once and
+ * draw millions of ranks.
  */
 #ifndef RMCC_UTIL_ZIPF_HPP
 #define RMCC_UTIL_ZIPF_HPP
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -36,8 +36,38 @@ class ZipfSampler
     /** Build the CDF for ranks [0, n) with exponent s (> 0). */
     ZipfSampler(std::uint64_t n, double s);
 
-    /** Draw one Zipf-distributed rank using the supplied generator. */
+    /** Draw one Zipf-distributed rank: rank(rng.nextDouble()). */
     std::uint64_t operator()(Rng &rng) const;
+
+    /** The rank a uniform @p u in [0, 1) inverts to. */
+    std::uint64_t rank(double u) const
+    {
+        // u lies in bucket k, so its lower_bound lies in
+        // [guide[k], guide[k+1]]: cdf[guide[k+1]] >= (k+1)/K > u.
+        const std::size_t k = bucket(u);
+        const auto first = cdf_.begin() + guide_[k];
+        const auto last =
+            cdf_.begin() +
+            std::min<std::size_t>(guide_[k + 1] + 1, cdf_.size());
+        return static_cast<std::uint64_t>(
+            std::lower_bound(first, last, u) - cdf_.begin());
+    }
+
+    /**
+     * Prefetch the guide entry rank(u) starts from.  Callers that know
+     * their uniforms ahead issue this first, then prefetchCdf(u) once
+     * the guide line has had time to arrive, then rank(u).
+     */
+    void prefetchGuide(double u) const
+    {
+        __builtin_prefetch(guide_.data() + bucket(u));
+    }
+
+    /** Prefetch the first CDF line rank(u) searches (reads the guide). */
+    void prefetchCdf(double u) const
+    {
+        __builtin_prefetch(cdf_.data() + guide_[bucket(u)]);
+    }
 
     /** Probability mass of a single rank in [0, n). */
     double mass(std::uint64_t rank) const;
@@ -46,6 +76,11 @@ class ZipfSampler
     std::uint64_t size() const { return cdf_.size(); }
 
   private:
+    std::size_t bucket(double u) const
+    {
+        return static_cast<std::size_t>(u * buckets_);
+    }
+
     std::vector<double> cdf_;
     std::vector<std::uint32_t> guide_; //!< K+1 lower-bound anchors.
     double buckets_ = 0.0;             //!< K as a double, for u*K.

@@ -1,10 +1,12 @@
 #include "workloads/graph.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -14,7 +16,6 @@
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
-#include "util/thread_pool.hpp"
 
 #ifdef __unix__
 #include <unistd.h>
@@ -37,68 +38,60 @@ gcdU64(std::uint64_t a, std::uint64_t b)
     return a;
 }
 
-using EdgePair = std::pair<std::uint32_t, std::uint32_t>;
-
 /**
- * Sort the edge list, fanning chunk sorts and pairwise merges across
- * RMCC_JOBS threads when that pays.  The sorted sequence of a multiset
- * is unique, so the result is bit-identical to a plain std::sort no
- * matter the thread count.
+ * The build's Rng stream, read kRing words ahead so the serial draw loop
+ * overlaps its cache misses instead of taking them one after another.
+ * Each word entering the ring prefetches the Zipf guide entry it would
+ * read as a uniform; kCdfAhead words before it is drawn, it prefetches
+ * its CDF line.  Words that end up as coin flips or uniform ids prefetch
+ * harmlessly.  Words decode through Rng's own decoders, so every draw
+ * returns what the same call on the bare Rng would.
  */
-void
-sortEdgePairs(std::vector<EdgePair> &pairs)
+class LookaheadDraws
 {
-    const unsigned jobs = util::ThreadPool::envJobs();
-    if (jobs <= 1 || pairs.size() < (1u << 16)) {
-        std::sort(pairs.begin(), pairs.end());
-        return;
+  public:
+    LookaheadDraws(std::uint64_t seed, const util::ZipfSampler &zipf)
+        : rng_(seed), zipf_(zipf)
+    {
+        for (std::size_t i = 0; i < kRing; ++i)
+            refill(i);
     }
-    util::ThreadPool pool(jobs);
-    const std::size_t n = pairs.size();
-    const std::size_t n_runs = std::min<std::size_t>(jobs, 16);
-    std::vector<std::size_t> bounds(n_runs + 1);
-    for (std::size_t i = 0; i <= n_runs; ++i)
-        bounds[i] = n * i / n_runs;
-    util::parallelFor(pool, n_runs, [&](std::size_t i) {
-        std::sort(pairs.begin() + static_cast<std::ptrdiff_t>(bounds[i]),
-                  pairs.begin() +
-                      static_cast<std::ptrdiff_t>(bounds[i + 1]));
-    });
 
-    // Merge adjacent runs pairwise, ping-ponging between two buffers.
-    std::vector<EdgePair> scratch(n);
-    std::vector<EdgePair> *src = &pairs, *dst = &scratch;
-    while (bounds.size() > 2) {
-        const std::size_t runs = bounds.size() - 1;
-        std::vector<std::size_t> next_bounds = {0};
-        for (std::size_t j = 0; j + 2 <= runs; j += 2)
-            next_bounds.push_back(bounds[j + 2]);
-        if (runs % 2)
-            next_bounds.push_back(bounds[runs]);
-        util::parallelFor(pool, runs / 2 + runs % 2, [&](std::size_t j) {
-            const std::size_t lo = bounds[2 * j];
-            if (2 * j + 2 <= runs) {
-                const std::size_t mid = bounds[2 * j + 1];
-                const std::size_t hi = bounds[2 * j + 2];
-                std::merge(src->begin() + static_cast<std::ptrdiff_t>(lo),
-                           src->begin() + static_cast<std::ptrdiff_t>(mid),
-                           src->begin() + static_cast<std::ptrdiff_t>(mid),
-                           src->begin() + static_cast<std::ptrdiff_t>(hi),
-                           dst->begin() + static_cast<std::ptrdiff_t>(lo));
-            } else {
-                // Odd run out: carry it into the destination buffer.
-                std::copy(src->begin() + static_cast<std::ptrdiff_t>(lo),
-                          src->begin() +
-                              static_cast<std::ptrdiff_t>(bounds[runs]),
-                          dst->begin() + static_cast<std::ptrdiff_t>(lo));
-            }
-        });
-        std::swap(src, dst);
-        bounds = std::move(next_bounds);
+    std::uint64_t zipf() { return zipf_.rank(util::Rng::toDouble(next())); }
+
+    bool coin() { return util::Rng::toBool(next(), 0.5); }
+
+    std::uint64_t below(std::uint64_t bound)
+    {
+        return util::Rng::below(bound, [this] { return next(); });
     }
-    if (src != &pairs)
-        pairs.swap(*src);
-}
+
+  private:
+    static constexpr std::size_t kRing = 32;
+    static constexpr std::size_t kCdfAhead = 16;
+
+    void refill(std::size_t i)
+    {
+        ring_[i] = rng_.next();
+        zipf_.prefetchGuide(util::Rng::toDouble(ring_[i]));
+    }
+
+    /** Draw the head word and refill its slot. */
+    std::uint64_t next()
+    {
+        const std::uint64_t w = ring_[head_];
+        refill(head_);
+        head_ = (head_ + 1) % kRing;
+        zipf_.prefetchCdf(
+            util::Rng::toDouble(ring_[(head_ + kCdfAhead) % kRing]));
+        return w;
+    }
+
+    util::Rng rng_;
+    const util::ZipfSampler &zipf_;
+    std::uint64_t ring_[kRing];
+    std::size_t head_ = 0;
+};
 
 // "RMCCGRPH" — identifies (and versions, below) the graph cache files.
 constexpr std::uint64_t kCacheMagic = 0x524d434347525048ULL;
@@ -269,8 +262,14 @@ Graph
 Graph::powerLaw(std::uint64_t vertices, std::uint64_t num_edges,
                 double zipf_exponent, std::uint64_t seed)
 {
-    util::Rng rng(seed);
+    // Edge ids are 32-bit, and the id permutation below needs
+    // rank * mult < 2^64.
+    if (vertices == 0 || vertices > UINT32_MAX)
+        throw std::invalid_argument(
+            "Graph::powerLaw: vertex count must be in [1, 2^32)");
+
     util::ZipfSampler zipf(vertices, zipf_exponent);
+    LookaheadDraws draw(seed, zipf);
 
     // Scatter popularity ranks over the id space with an affine bijection:
     // real graphs' hubs have arbitrary ids, not a contiguous prefix (a
@@ -293,31 +292,41 @@ Graph::powerLaw(std::uint64_t vertices, std::uint64_t num_edges,
     // targets are Zipf (popular destinations), half uniform.  This loop
     // is inherently serial — the degree-cap fallback draws extra RNG
     // values conditionally, so every edge depends on its predecessors.
-    std::vector<EdgePair> pairs;
-    pairs.reserve(num_edges);
+    // Sources stay ranks here; targets are ids.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> drawn;
+    drawn.reserve(num_edges);
     for (std::uint64_t e = 0; e < num_edges; ++e) {
-        std::uint64_t src_rank = zipf(rng);
-        if (degree[src_rank] >= cap)
-            src_rank = rng.nextBelow(vertices);
-        ++degree[src_rank];
-        const std::uint64_t dst_rank =
-            rng.nextBool(0.5) ? zipf(rng) : rng.nextBelow(vertices);
-        pairs.emplace_back(perm(src_rank), perm(dst_rank));
+        std::uint64_t src = draw.zipf();
+        if (degree[src] >= cap)
+            src = draw.below(vertices);
+        ++degree[src];
+        const std::uint64_t dst =
+            draw.coin() ? draw.zipf() : draw.below(vertices);
+        drawn.emplace_back(static_cast<std::uint32_t>(src), perm(dst));
     }
-    sortEdgePairs(pairs);
 
+    // Counting sort into CSR: degree[] already holds every source's
+    // out-degree, so each edge's target goes straight to its source's
+    // next free slot.  Cursors are indexed by rank, which keeps the hot
+    // hubs' cursors on a few cache lines.
     Graph g;
     g.num_vertices = vertices;
     g.offsets.assign(vertices + 1, 0);
-    for (const auto &[src, dst] : pairs)
-        ++g.offsets[src + 1];
+    for (std::uint64_t r = 0; r < vertices; ++r)
+        g.offsets[perm(r) + 1] = degree[r];
     for (std::uint64_t v = 0; v < vertices; ++v)
         g.offsets[v + 1] += g.offsets[v];
-    g.edges.resize(pairs.size());
-    for (std::uint64_t e = 0; e < pairs.size(); ++e)
-        g.edges[e] = pairs[e].second;
-    // Per-vertex adjacency is already sorted by the pair sort; that makes
-    // triangle counting's sorted-intersection realistic.
+    std::vector<std::uint64_t> cursor(vertices);
+    for (std::uint64_t r = 0; r < vertices; ++r)
+        cursor[r] = g.offsets[perm(r)];
+    g.edges.resize(num_edges);
+    for (const auto &[src, dst] : drawn)
+        g.edges[cursor[src]++] = dst;
+    // Sorted adjacency makes triangle counting's sorted-intersection
+    // realistic.
+    for (std::uint64_t v = 0; v < vertices; ++v)
+        std::sort(g.edges.data() + g.offsets[v],
+                  g.edges.data() + g.offsets[v + 1]);
     return g;
 }
 

@@ -34,6 +34,7 @@ struct Graph
      * Build a power-law (RMAT-like degree skew) graph: edge sources are
      * Zipf-distributed so a few hub vertices have very high out-degree,
      * targets mix Zipf (popularity) and uniform (randomness) draws.
+     * Throws std::invalid_argument unless 0 < vertices <= UINT32_MAX.
      */
     static Graph powerLaw(std::uint64_t vertices, std::uint64_t edges,
                           double zipf_exponent, std::uint64_t seed);
@@ -41,9 +42,9 @@ struct Graph
     /**
      * powerLaw() behind an on-disk memo: the CSR of a (vertices, edges,
      * exponent, seed) build is checksummed and cached in the directory
-     * named by RMCC_GRAPH_CACHE_DIR (default /tmp), so the ~seconds-long
-     * generation runs once per machine instead of once per bench
-     * process.  A stale, corrupt, or unwritable cache silently falls
+     * named by RMCC_GRAPH_CACHE_DIR (default /tmp), so generation (a
+     * few seconds for the shared 4 M-vertex graph) runs once per machine
+     * instead of once per bench process.  A stale, corrupt, or unwritable cache silently falls
      * back to building; RMCC_GRAPH_CACHE=0 disables the cache entirely.
      * The returned graph is byte-identical to powerLaw()'s either way.
      */

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <numeric>
 #include <set>
@@ -475,6 +476,54 @@ TEST(Zipf, DeterministicForEqualSeeds)
         diverged |= ra != zipf(c);
     }
     EXPECT_TRUE(diverged);
+}
+
+TEST(Zipf, GoldenRankStream)
+{
+    // Committed reference for the first 1000 ranks of a fixed-seed
+    // stream: graph construction, fault storms and tenant mixes all
+    // draw through this sampler, so its output must not drift.
+    ZipfSampler zipf(1 << 20, 0.99);
+    Rng rng(42);
+    const std::uint64_t head[] = {1,      170,   12902, 378943,
+                                  939094, 45148, 22353, 136682};
+    std::uint64_t h = 0xcbf29ce484222325ULL, sum = 0;
+    for (int i = 0; i < 1000; ++i) {
+        const std::uint64_t r = zipf(rng);
+        if (i < 8) {
+            EXPECT_EQ(r, head[i]) << "rank " << i;
+        }
+        sum += r;
+        for (int b = 0; b < 8; ++b) {
+            h ^= (r >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    EXPECT_EQ(sum, 74901128u);
+    EXPECT_EQ(h, 0xc5a7f3775b9e65a8ULL);
+}
+
+TEST(Zipf, RankOfUniformMatchesDraw)
+{
+    // rank(u) is the draw itself, so a caller that reads Rng words ahead
+    // (and prefetches for them) gets the ranks operator() would give.
+    ZipfSampler zipf(12345, 0.8);
+    Rng a(5), b(5);
+    for (int i = 0; i < 2000; ++i) {
+        const double u = Rng::toDouble(b.next());
+        zipf.prefetchGuide(u);
+        zipf.prefetchCdf(u);
+        EXPECT_EQ(zipf(a), zipf.rank(u));
+    }
+    // The extreme uniforms index the guide table's first and last
+    // buckets.
+    const double top = std::nextafter(1.0, 0.0);
+    for (const double u : {0.0, top}) {
+        zipf.prefetchGuide(u);
+        zipf.prefetchCdf(u);
+    }
+    EXPECT_EQ(zipf.rank(0.0), 0u);
+    EXPECT_EQ(zipf.rank(top), 12344u);
 }
 
 TEST(Zipf, MassSumsToOneAndSteepensWithSkew)

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include <unistd.h>
@@ -71,6 +73,64 @@ TEST(Graph, DeterministicForSeed)
     const Graph b = Graph::powerLaw(1000, 8000, 0.8, 9);
     EXPECT_EQ(a.edges, b.edges);
     EXPECT_EQ(a.offsets, b.offsets);
+}
+
+namespace
+{
+
+/** FNV-1a over offsets, then edges: the graph cache's header checksum. */
+std::uint64_t
+csrChecksum(const Graph &g)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](const void *data, std::size_t n) {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ULL;
+        }
+    };
+    mix(g.offsets.data(), g.offsets.size() * sizeof(std::uint64_t));
+    mix(g.edges.data(), g.edges.size() * sizeof(std::uint32_t));
+    return h;
+}
+
+} // namespace
+
+TEST(Graph, GoldenDigests)
+{
+    // Committed digests of the exact CSR bytes, so a faster build (or a
+    // sampler change) cannot drift the graphs every graph figure runs
+    // on.  A deliberate change to the generated graphs must update these
+    // and the cache version together.
+
+    // Power-of-two vertex count.
+    EXPECT_EQ(csrChecksum(Graph::powerLaw(65536, 524288, 0.8, 7)),
+              0x521d84aa0915a275ULL);
+
+    // Non-power-of-two vertex count: nextBelow() may reject and draw
+    // extra words, and the guide table is not a whole multiple.
+    EXPECT_EQ(csrChecksum(Graph::powerLaw(12345, 987654, 0.8, 11)),
+              0x6ac3e4aab9025104ULL);
+
+    // Steep skew and few edges per vertex: the degree cap redirects the
+    // draws of over a hundred hub sources to uniform fallbacks.
+    const Graph capped = Graph::powerLaw(100000, 200000, 1.2, 5);
+    EXPECT_EQ(csrChecksum(capped), 0xc69434218dc99dc4ULL);
+    const std::uint64_t cap = 64 * 200000 / 100000;
+    std::uint64_t at_cap = 0;
+    for (std::uint64_t v = 0; v < capped.num_vertices; ++v)
+        at_cap += capped.degree(v) >= cap;
+    EXPECT_GT(at_cap, 100u);
+}
+
+TEST(Graph, RejectsBadVertexCounts)
+{
+    // Zero vertices has no valid id; above 2^32 the 32-bit edge ids
+    // (and the id permutation's arithmetic) cannot represent them.
+    EXPECT_THROW(Graph::powerLaw(0, 10, 0.8, 1), std::invalid_argument);
+    EXPECT_THROW(Graph::powerLaw(std::uint64_t{UINT32_MAX} + 1, 10, 0.8, 1),
+                 std::invalid_argument);
 }
 
 TEST(Graph, DiskCacheRoundTripsAndSurvivesCorruption)
