@@ -32,19 +32,23 @@ class MonolithicScheme : public CounterScheme
                    addr::CounterValue new_value) const override;
     WriteResult relevelBlock(std::uint64_t idx,
                              addr::CounterValue target) override;
-    std::uint64_t entities() const override { return store_.size(); }
-    const addr::CounterValue *rawValues() const override
+    std::uint64_t entities() const override { return values_.size(); }
+    std::uint64_t countInRanges(const ValueRanges &ranges) const override;
+    CounterLayout counterLayout() const override
     {
-        return store_.data();
-    }
-    addr::CounterValue observedMax() const override
-    {
-        return store_.observedMax();
+        return {values_.data(), 3};
     }
     void randomInit(util::Rng &rng, addr::CounterValue mean) override;
 
   private:
-    CounterStore store_;
+    /** Store counter idx (no shared major: every value is stored whole). */
+    void set(std::uint64_t idx, addr::CounterValue v)
+    {
+        values_[idx] = v;
+        noteStored(v);
+    }
+
+    ZeroedArray<addr::CounterValue> values_;
 };
 
 } // namespace rmcc::ctr

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cstring>
 
 #include "crypto/dispatch.hpp"
 #include "util/log.hpp"
@@ -45,98 +46,72 @@ infoOf(MorphFormat f)
     return morphFormats()[static_cast<std::size_t>(f)];
 }
 
-/** Does a set of offsets fit one format? */
-bool
-fits(const MorphFormatInfo &fmt, const std::uint64_t *offsets,
-     std::size_t n)
-{
-    if (fmt.id == MorphFormat::Uniform3X) {
-        // Uniform 3-bit minors with up to kUniform3xSlots far-drifted
-        // exceptions below 2^13.
-        unsigned exceptions = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t o = offsets[i];
-            if (o >= (1ULL << 13))
-                return false;
-            if (o >= 8 && ++exceptions > kUniform3xSlots)
-                return false;
-        }
-        return true;
-    }
-    const std::uint64_t limit = 1ULL << fmt.minor_bits;
-    unsigned nonzero = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t o = offsets[i];
-        if (o >= limit)
-            return false;
-        nonzero += o != 0;
-    }
-    if (fmt.id == MorphFormat::Uniform3)
-        return true; // all minors stored, any may be non-zero
-    return nonzero <= fmt.max_nonzero;
-}
-
 /** Bit offsets of the packed layout. */
 constexpr std::size_t kMajorBits = 56;
 constexpr std::size_t kFormatBits = 8;
 constexpr std::size_t kPayloadBase = kMajorBits + kFormatBits;
 
+//! Running minimum of an empty minmaxSpan fold.
+constexpr unsigned kNoOffset = ~0u;
+
 // ---------------------------------------------------------------------------
 // Block-scan kernels.  Every encodability decision reduces to two scans
-// over a block's contiguous logical values: a summary (max offset above
-// the major, non-zero count, >=8 count — exactly the facts the format
-// predicates test) and a min/max.  The AVX2 variants process four
-// counters per vector; counter values sit far below 2^63, so signed
-// 64-bit compares agree with the unsigned scalar ones.  Same gating
-// discipline as the cache way scans: CPUID-seeded process-wide toggle,
-// scalar kernels kept as the oracle (cross-checked in tests).
+// over a block's contiguous 16-bit offsets: a summary (max offset above a
+// candidate major, non-zero count, >=8 count -- exactly the facts the
+// format predicates test) and a min/max.  The summary takes the offsets
+// relative to a candidate major as offset + bias (mod 2^64, bias = stored
+// major - candidate major); the true results are far below 2^63, so the
+// AVX2 kernel's signed 64-bit compares agree with the unsigned scalar
+// ones.  Same gating discipline as the cache way scans: CPUID-seeded
+// process-wide toggle, scalar kernels kept as the oracle (cross-checked
+// in tests).
 // ---------------------------------------------------------------------------
 
 //! -1 unresolved, else 0/1; atomic so suite-runner threads race benignly.
 std::atomic<int> g_simd_scan{-1};
 
-/** Accumulate (max_off, nonzero, ge8) over values[0..n) minus major. */
+/** Accumulate (max_off, nonzero, ge8) over offs[0..n) + bias. */
 void
-summarizeSpanScalar(const addr::CounterValue *values, std::size_t n,
-                    addr::CounterValue major, std::uint64_t &max_off,
+summarizeSpanScalar(const std::uint16_t *offs, std::size_t n,
+                    std::uint64_t bias, std::uint64_t &max_off,
                     unsigned &nonzero, unsigned &ge8)
 {
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t off = values[i] - major;
+        const std::uint64_t off = offs[i] + bias;
         max_off = std::max(max_off, off);
         nonzero += off != 0;
         ge8 += off >= 8;
     }
 }
 
-/** Fold values[0..n) into the running [lo, hi] envelope. */
+/** Fold offs[0..n) into the running [lo, hi] envelope. */
 void
-minmaxSpanScalar(const addr::CounterValue *values, std::size_t n,
-                 addr::CounterValue &lo, addr::CounterValue &hi)
+minmaxSpanScalar(const std::uint16_t *offs, std::size_t n, unsigned &lo,
+                 unsigned &hi)
 {
     for (std::size_t i = 0; i < n; ++i) {
-        lo = std::min(lo, values[i]);
-        hi = std::max(hi, values[i]);
+        lo = std::min<unsigned>(lo, offs[i]);
+        hi = std::max<unsigned>(hi, offs[i]);
     }
 }
 
 #if defined(__x86_64__) || defined(__i386__)
 
 __attribute__((target("avx2"))) void
-summarizeSpanAvx2(const addr::CounterValue *values, std::size_t n,
-                  addr::CounterValue major, std::uint64_t &max_off,
+summarizeSpanAvx2(const std::uint16_t *offs, std::size_t n,
+                  std::uint64_t bias, std::uint64_t &max_off,
                   unsigned &nonzero, unsigned &ge8)
 {
-    const __m256i maj =
-        _mm256_set1_epi64x(static_cast<long long>(major));
+    const __m256i b = _mm256_set1_epi64x(static_cast<long long>(bias));
     const __m256i seven = _mm256_set1_epi64x(7);
     const __m256i zero = _mm256_setzero_si256();
     __m256i vmax = zero;
     std::size_t i = 0;
     for (; i + 4 <= n; i += 4) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(values + i));
-        const __m256i off = _mm256_sub_epi64(x, maj);
+        const __m256i off = _mm256_add_epi64(
+            _mm256_cvtepu16_epi64(_mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(offs + i))),
+            b);
         const __m256i gt = _mm256_cmpgt_epi64(off, vmax);
         vmax = _mm256_blendv_epi8(vmax, off, gt);
         const int zmask = _mm256_movemask_pd(
@@ -153,65 +128,62 @@ summarizeSpanAvx2(const addr::CounterValue *values, std::size_t n,
     _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), vmax);
     for (int k = 0; k < 4; ++k)
         max_off = std::max(max_off, lanes[k]);
-    summarizeSpanScalar(values + i, n - i, major, max_off, nonzero, ge8);
+    summarizeSpanScalar(offs + i, n - i, bias, max_off, nonzero, ge8);
 }
 
 __attribute__((target("avx2"))) void
-minmaxSpanAvx2(const addr::CounterValue *values, std::size_t n,
-               addr::CounterValue &lo, addr::CounterValue &hi)
+minmaxSpanAvx2(const std::uint16_t *offs, std::size_t n, unsigned &lo,
+               unsigned &hi)
 {
-    if (n < 4) {
-        minmaxSpanScalar(values, n, lo, hi);
+    if (n < 16) {
+        minmaxSpanScalar(offs, n, lo, hi);
         return;
     }
-    __m256i vlo = _mm256_set1_epi64x(static_cast<long long>(lo));
-    __m256i vhi = _mm256_set1_epi64x(static_cast<long long>(hi));
+    __m256i vlo = _mm256_set1_epi16(-1);
+    __m256i vhi = _mm256_setzero_si256();
     std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
+    for (; i + 16 <= n; i += 16) {
         const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(values + i));
-        vlo = _mm256_blendv_epi8(vlo, x, _mm256_cmpgt_epi64(vlo, x));
-        vhi = _mm256_blendv_epi8(vhi, x, _mm256_cmpgt_epi64(x, vhi));
+            reinterpret_cast<const __m256i *>(offs + i));
+        vlo = _mm256_min_epu16(vlo, x);
+        vhi = _mm256_max_epu16(vhi, x);
     }
-    alignas(32) std::uint64_t los[4], his[4];
+    alignas(32) std::uint16_t los[16], his[16];
     _mm256_store_si256(reinterpret_cast<__m256i *>(los), vlo);
     _mm256_store_si256(reinterpret_cast<__m256i *>(his), vhi);
-    for (int k = 0; k < 4; ++k) {
-        lo = std::min(lo, los[k]);
-        hi = std::max(hi, his[k]);
-    }
-    minmaxSpanScalar(values + i, n - i, lo, hi);
+    minmaxSpanScalar(los, 16, lo, hi);
+    minmaxSpanScalar(his, 16, lo, hi);
+    minmaxSpanScalar(offs + i, n - i, lo, hi);
 }
 
 #endif // x86
 
 /** Dispatching summarize: AVX2 when enabled, scalar oracle otherwise. */
 void
-summarizeSpan(const addr::CounterValue *values, std::size_t n,
-              addr::CounterValue major, std::uint64_t &max_off,
-              unsigned &nonzero, unsigned &ge8)
+summarizeSpan(const std::uint16_t *offs, std::size_t n, std::uint64_t bias,
+              std::uint64_t &max_off, unsigned &nonzero, unsigned &ge8)
 {
 #if defined(__x86_64__) || defined(__i386__)
     if (MorphableScheme::simdScanActive()) {
-        summarizeSpanAvx2(values, n, major, max_off, nonzero, ge8);
+        summarizeSpanAvx2(offs, n, bias, max_off, nonzero, ge8);
         return;
     }
 #endif
-    summarizeSpanScalar(values, n, major, max_off, nonzero, ge8);
+    summarizeSpanScalar(offs, n, bias, max_off, nonzero, ge8);
 }
 
 /** Dispatching min/max envelope fold. */
 void
-minmaxSpan(const addr::CounterValue *values, std::size_t n,
-           addr::CounterValue &lo, addr::CounterValue &hi)
+minmaxSpan(const std::uint16_t *offs, std::size_t n, unsigned &lo,
+           unsigned &hi)
 {
 #if defined(__x86_64__) || defined(__i386__)
     if (MorphableScheme::simdScanActive()) {
-        minmaxSpanAvx2(values, n, lo, hi);
+        minmaxSpanAvx2(offs, n, lo, hi);
         return;
     }
 #endif
-    minmaxSpanScalar(values, n, lo, hi);
+    minmaxSpanScalar(offs, n, lo, hi);
 }
 
 } // namespace
@@ -234,59 +206,49 @@ MorphableScheme::simdScanActive()
 }
 
 std::optional<MorphFormat>
-MorphableScheme::chooseFormat(const std::uint64_t *offsets, std::size_t n)
-{
-    for (const auto &fmt : morphFormats())
-        if (fits(fmt, offsets, n))
-            return fmt.id;
-    return std::nullopt;
-}
-
-std::optional<MorphFormat>
-MorphableScheme::chooseFormat(const std::vector<std::uint64_t> &offsets)
-{
-    return chooseFormat(offsets.data(), offsets.size());
-}
-
-std::optional<MorphFormat>
 MorphableScheme::formatFromSummary(const BlockSummary &s)
 {
-    // Mirrors fits(): each predicate only needs the block's max offset,
-    // non-zero count, and >=8 count, all of which the summary carries.
+    // First format in preference order whose layout holds the block.
+    // Each predicate needs only the block's max offset, non-zero count,
+    // and >=8 count, all of which the summary carries.
     for (const auto &fmt : morphFormats()) {
         if (fmt.id == MorphFormat::Uniform3X) {
+            // Uniform 3-bit minors with up to kUniform3xSlots far-drifted
+            // exceptions below 2^13.
             if (s.max_off < (1ULL << 13) && s.ge8 <= kUniform3xSlots)
                 return fmt.id;
             continue;
         }
         if (s.max_off >= (1ULL << fmt.minor_bits))
             continue;
+        // Uniform3 stores every minor, so any may be non-zero.
         if (fmt.id == MorphFormat::Uniform3 || s.nonzero <= fmt.max_nonzero)
             return fmt.id;
     }
     return std::nullopt;
 }
 
-void
-MorphableScheme::refreshSummary(addr::CounterBlockId cb)
+MorphableScheme::BlockSummary
+MorphableScheme::summaryWith(addr::CounterBlockId cb, std::uint64_t bias,
+                             std::uint64_t idx, std::uint64_t idx_off) const
 {
     const auto [first, last] = blockRange(cb);
-    std::uint64_t max_off = 0;
-    unsigned nonzero = 0, ge8 = 0;
-    summarizeSpan(store_.data() + first, last - first, majors_[cb],
-                  max_off, nonzero, ge8);
+    const std::uint16_t *offs = offsets_.data();
+    std::uint64_t max_off = idx_off;
+    unsigned nonzero = idx_off != 0, ge8 = idx_off >= 8;
+    summarizeSpan(offs + first, idx - first, bias, max_off, nonzero, ge8);
+    summarizeSpan(offs + idx + 1, last - idx - 1, bias, max_off, nonzero,
+                  ge8);
     BlockSummary s;
     s.max_off = max_off;
     s.nonzero = static_cast<std::uint16_t>(nonzero);
     s.ge8 = static_cast<std::uint16_t>(ge8);
-    summaries_[cb] = s;
+    return s;
 }
 
 MorphableScheme::MorphableScheme(std::uint64_t n)
-    : store_(n),
-      majors_((n + kCoverage - 1) / kCoverage, 0),
-      formats_(majors_.size(), MorphFormat::Uniform3),
-      summaries_(majors_.size())
+    : majors_((n + kCoverage - 1) / kCoverage), offsets_(n),
+      formats_(majors_.size()), summaries_(majors_.size())
 {
 }
 
@@ -294,17 +256,15 @@ std::pair<std::uint64_t, std::uint64_t>
 MorphableScheme::blockRange(addr::CounterBlockId cb) const
 {
     const std::uint64_t first = cb * kCoverage;
-    return {first, std::min(first + kCoverage, store_.size())};
+    return {first, std::min(first + kCoverage, offsets_.size())};
 }
 
 std::vector<std::uint64_t>
 MorphableScheme::blockOffsets(addr::CounterBlockId cb) const
 {
     const auto [first, last] = blockRange(cb);
-    std::vector<std::uint64_t> offsets(last - first);
-    for (std::uint64_t i = first; i < last; ++i)
-        offsets[i - first] = store_.get(i) - majors_[cb];
-    return offsets;
+    return std::vector<std::uint64_t>(offsets_.data() + first,
+                                      offsets_.data() + last);
 }
 
 addr::CounterValue
@@ -314,12 +274,6 @@ MorphableScheme::blockMax(std::uint64_t idx) const
     return majors_[cb] + summaries_[cb].max_off;
 }
 
-addr::CounterValue
-MorphableScheme::read(std::uint64_t idx) const
-{
-    return store_.get(idx);
-}
-
 bool
 MorphableScheme::encodable(std::uint64_t idx,
                            addr::CounterValue new_value) const
@@ -327,83 +281,73 @@ MorphableScheme::encodable(std::uint64_t idx,
     const addr::CounterBlockId cb = blockOf(idx);
     const addr::CounterValue major = majors_[cb];
     if (new_value >= major) {
-        const addr::CounterValue cur = store_.get(idx);
-        if (new_value >= cur) {
+        const std::uint64_t old_off = offsets_[idx];
+        const std::uint64_t new_off = new_value - major;
+        if (new_off >= old_off) {
             // A non-decreasing candidate can only grow the summary, so
             // the updated digest is exact and no offset scan is needed.
             BlockSummary s = summaries_[cb];
-            const std::uint64_t old_off = cur - major;
-            const std::uint64_t new_off = new_value - major;
             s.max_off = std::max(s.max_off, new_off);
             s.nonzero += old_off == 0 && new_off != 0;
             s.ge8 += old_off < 8 && new_off >= 8;
             if (formatFromSummary(s).has_value())
                 return true;
-        } else {
+        } else if (formatFromSummary(summaryWith(cb, 0, idx, new_off))
+                       .has_value()) {
             // Decreasing candidate: summarize everyone else and merge
-            // the changed offset — equivalent to re-deriving the offsets
-            // and running the format predicates over them (they only
-            // consult the summary facts).
-            const auto [first, last] = blockRange(cb);
-            const addr::CounterValue *base = store_.data();
-            const std::uint64_t new_off = new_value - major;
-            std::uint64_t max_off = new_off;
-            unsigned nonzero = new_off != 0, ge8 = new_off >= 8;
-            summarizeSpan(base + first, idx - first, major, max_off,
-                          nonzero, ge8);
-            summarizeSpan(base + idx + 1, last - idx - 1, major, max_off,
-                          nonzero, ge8);
-            BlockSummary s;
-            s.max_off = max_off;
-            s.nonzero = static_cast<std::uint16_t>(nonzero);
-            s.ge8 = static_cast<std::uint16_t>(ge8);
-            if (formatFromSummary(s).has_value())
-                return true;
+            // the changed offset.
+            return true;
         }
     }
     // Min-shift re-encode: sliding the major up to the block minimum
     // changes no counter value, so it costs no re-encryption.
-    return shiftedFormat(cb, idx, new_value).has_value();
+    return formatFromSummary(shifted(cb, idx, new_value).summary)
+        .has_value();
 }
 
-std::optional<MorphFormat>
-MorphableScheme::shiftedFormat(addr::CounterBlockId cb, std::uint64_t idx,
-                               addr::CounterValue new_value) const
+MorphableScheme::Shift
+MorphableScheme::shifted(addr::CounterBlockId cb, std::uint64_t idx,
+                         addr::CounterValue new_value) const
 {
     const auto [first, last] = blockRange(cb);
-    const addr::CounterValue *base = store_.data();
+    const std::uint16_t *offs = offsets_.data();
+    const addr::CounterValue major = majors_[cb];
     // Candidate major = min over the block with idx set to new_value,
     // found by folding the two spans around idx.
-    addr::CounterValue vmin = new_value, hi_unused = new_value;
-    minmaxSpan(base + first, idx - first, vmin, hi_unused);
-    minmaxSpan(base + idx + 1, last - idx - 1, vmin, hi_unused);
+    unsigned lo = kNoOffset, hi_unused = 0;
+    minmaxSpan(offs + first, idx - first, lo, hi_unused);
+    minmaxSpan(offs + idx + 1, last - idx - 1, lo, hi_unused);
+    const addr::CounterValue vmin =
+        lo == kNoOffset ? new_value : std::min(new_value, major + lo);
     // Summary of the shifted offsets (idx replaced by new_value); the
     // format predicates need nothing more.
-    const std::uint64_t new_off = new_value - vmin;
-    std::uint64_t max_off = new_off;
-    unsigned nonzero = new_off != 0, ge8 = new_off >= 8;
-    summarizeSpan(base + first, idx - first, vmin, max_off, nonzero, ge8);
-    summarizeSpan(base + idx + 1, last - idx - 1, vmin, max_off, nonzero,
-                  ge8);
-    BlockSummary s;
-    s.max_off = max_off;
-    s.nonzero = static_cast<std::uint16_t>(nonzero);
-    s.ge8 = static_cast<std::uint16_t>(ge8);
-    return formatFromSummary(s);
+    return {vmin, summaryWith(cb, major - vmin, idx, new_value - vmin)};
+}
+
+void
+MorphableScheme::relevel(addr::CounterBlockId cb, addr::CounterValue v)
+{
+    const auto [first, last] = blockRange(cb);
+    majors_[cb] = v;
+    std::memset(offsets_.data() + first, 0,
+                (last - first) * sizeof(std::uint16_t));
+    formats_[cb] = MorphFormat::Uniform3;
+    summaries_[cb] = BlockSummary{};
+    noteStored(v);
 }
 
 WriteResult
 MorphableScheme::write(std::uint64_t idx, addr::CounterValue new_value)
 {
-    assert(new_value > store_.get(idx));
+    assert(new_value > read(idx));
     const addr::CounterBlockId cb = blockOf(idx);
     const addr::CounterValue major = majors_[cb];
     if (new_value >= major) {
         // Counter writes are monotone, so the one changed offset only
-        // grows and the block digest updates in O(1) — no 128-offset
+        // grows and the block digest updates in O(1) -- no 128-offset
         // rescan on the dense path.
         BlockSummary s = summaries_[cb];
-        const std::uint64_t old_off = store_.get(idx) - major;
+        const std::uint64_t old_off = offsets_[idx];
         const std::uint64_t new_off = new_value - major;
         s.max_off = std::max(s.max_off, new_off);
         s.nonzero += old_off == 0;
@@ -414,35 +358,34 @@ MorphableScheme::write(std::uint64_t idx, addr::CounterValue new_value)
                 formats_[cb] = *fmt;
             }
             summaries_[cb] = s;
-            store_.set(idx, new_value);
+            // Every format holds offsets below 2^16.
+            offsets_[idx] = static_cast<std::uint16_t>(new_off);
+            noteStored(new_value);
             return {new_value, false, 0};
         }
     }
     // Min-shift re-encode: when the whole block has drifted upward, the
     // major slides up to the block minimum.  No counter value changes,
-    // so no covered entity needs re-encryption.
-    if (const auto fmt = shiftedFormat(cb, idx, new_value)) {
-        store_.set(idx, new_value);
+    // so no covered entity needs re-encryption; the offsets re-base.
+    const Shift sh = shifted(cb, idx, new_value);
+    if (const auto fmt = formatFromSummary(sh.summary)) {
         const auto [first, last] = blockRange(cb);
-        addr::CounterValue vmin = store_.get(first);
-        addr::CounterValue hi_unused = vmin;
-        minmaxSpan(store_.data() + first, last - first, vmin, hi_unused);
-        majors_[cb] = vmin;
+        const std::uint64_t bias = major - sh.major;
+        for (std::uint64_t i = first; i < last; ++i)
+            offsets_[i] = static_cast<std::uint16_t>(offsets_[i] + bias);
+        offsets_[idx] = static_cast<std::uint16_t>(new_value - sh.major);
+        majors_[cb] = sh.major;
         formats_[cb] = *fmt;
+        summaries_[cb] = sh.summary;
         ++morphs_;
-        refreshSummary(cb);
+        noteStored(new_value);
         return {new_value, false, 0};
     }
     // Rebase: relevel every value to the block maximum; all covered
     // entities must be re-encrypted with the new shared value.
     const auto [first, last] = blockRange(cb);
-    addr::CounterValue vmax = new_value, lo_unused = new_value;
-    minmaxSpan(store_.data() + first, last - first, lo_unused, vmax);
-    majors_[cb] = vmax;
-    for (std::uint64_t i = first; i < last; ++i)
-        store_.set(i, vmax);
-    formats_[cb] = MorphFormat::Uniform3;
-    summaries_[cb] = BlockSummary{};
+    const addr::CounterValue vmax = std::max(new_value, blockMax(idx));
+    relevel(cb, vmax);
     ++overflows_;
     return {vmax, true, last - first};
 }
@@ -461,7 +404,7 @@ MorphableScheme::cheaplyEncodable(std::uint64_t idx,
     // "everyone but idx, plus v" follows from the digest alone.
     const BlockSummary &s = summaries_[cb];
     const addr::CounterValue major = majors_[cb];
-    const std::uint64_t off_idx = store_.get(idx) - major;
+    const std::uint64_t off_idx = offsets_[idx];
     const std::uint64_t n = last - first;
     const std::uint64_t nonzero_others = s.nonzero - (off_idx != 0);
     if (nonzero_others < n - 1 && off_idx < s.max_off) {
@@ -470,25 +413,33 @@ MorphableScheme::cheaplyEncodable(std::uint64_t idx,
             std::max(v, major + s.max_off);
         return vmax - vmin < 8;
     }
-    addr::CounterValue vmin = v, vmax = v;
-    const addr::CounterValue *base = store_.data();
-    minmaxSpan(base + first, idx - first, vmin, vmax);
-    minmaxSpan(base + idx + 1, last - idx - 1, vmin, vmax);
+    unsigned lo = kNoOffset, hi = 0;
+    const std::uint16_t *offs = offsets_.data();
+    minmaxSpan(offs + first, idx - first, lo, hi);
+    minmaxSpan(offs + idx + 1, last - idx - 1, lo, hi);
+    if (lo == kNoOffset)
+        return true; // a lone entity is its own dense range
+    const addr::CounterValue vmin = std::min(v, major + lo);
+    const addr::CounterValue vmax = std::max(v, major + hi);
     return vmax - vmin < 8;
 }
 
 WriteResult
 MorphableScheme::relevelBlock(std::uint64_t idx, addr::CounterValue target)
 {
+    assert(target > blockMax(idx));
     const addr::CounterBlockId cb = blockOf(idx);
     const auto [first, last] = blockRange(cb);
-    assert(target > blockMax(idx));
-    majors_[cb] = target;
-    for (std::uint64_t i = first; i < last; ++i)
-        store_.set(i, target);
-    formats_[cb] = MorphFormat::Uniform3;
-    summaries_[cb] = BlockSummary{};
+    relevel(cb, target);
     return {target, false, last - first};
+}
+
+std::uint64_t
+MorphableScheme::countInRanges(const ValueRanges &ranges) const
+{
+    return countSplitInRanges(
+        majors_.data(), offsets_.data(), offsets_.size(), kCoverage, ranges,
+        [this](addr::CounterBlockId cb) { return summaries_[cb].max_off; });
 }
 
 void
@@ -499,30 +450,48 @@ MorphableScheme::randomInit(util::Rng &rng, addr::CounterValue mean)
             rng.nextInRange(mean / 2, mean + mean / 2);
         majors_[cb] = major;
         const auto [first, last] = blockRange(cb);
+        const std::uint64_t n = last - first;
+        std::uint16_t *offs = offsets_.data() + first;
+        std::memset(offs, 0, n * sizeof(std::uint16_t));
         // Releveling is the fixed point of split-counter dynamics: a block
         // that has overflowed holds all-equal values, and subsequent
         // writes add only a small drift.  Model exactly that: most blocks
         // sit at their major with a handful of small drifted minors, and
-        // a few carry larger bitmap-encoded offsets.
-        std::vector<std::uint64_t> offsets(last - first, 0);
+        // a few carry larger bitmap-encoded offsets.  (Each offset is
+        // drawn before the entity it lands on.)
         const unsigned drifted =
             static_cast<unsigned>(rng.nextBelow(12));
-        for (unsigned k = 0; k < drifted; ++k)
-            offsets[rng.nextBelow(offsets.size())] = 1 + rng.nextBelow(7);
+        for (unsigned k = 0; k < drifted; ++k) {
+            const auto off = static_cast<std::uint16_t>(1 + rng.nextBelow(7));
+            offs[rng.nextBelow(n)] = off;
+        }
         if (rng.nextBool(0.1)) {
             const unsigned big = 1 + static_cast<unsigned>(
                                          rng.nextBelow(8));
-            for (unsigned k = 0; k < big; ++k)
-                offsets[rng.nextBelow(offsets.size())] =
-                    8 + rng.nextBelow(56);
+            for (unsigned k = 0; k < big; ++k) {
+                const auto off =
+                    static_cast<std::uint16_t>(8 + rng.nextBelow(56));
+                offs[rng.nextBelow(n)] = off;
+            }
         }
-        const auto fmt = chooseFormat(offsets);
+        // One 16-bit pass (it vectorizes) summarizes the block.
+        std::uint16_t max_off = 0;
+        unsigned nonzero = 0, ge8 = 0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            max_off = std::max(max_off, offs[i]);
+            nonzero += offs[i] != 0;
+            ge8 += offs[i] >= 8;
+        }
+        BlockSummary s;
+        s.max_off = max_off;
+        s.nonzero = static_cast<std::uint16_t>(nonzero);
+        s.ge8 = static_cast<std::uint16_t>(ge8);
+        const auto fmt = formatFromSummary(s);
         if (!fmt)
             util::panic("randomInit produced unencodable morphable block");
         formats_[cb] = *fmt;
-        for (std::uint64_t i = first; i < last; ++i)
-            store_.set(i, major + offsets[i - first]);
-        refreshSummary(cb);
+        summaries_[cb] = s;
+        noteStored(major + s.max_off);
     }
 }
 

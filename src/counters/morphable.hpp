@@ -71,7 +71,10 @@ class MorphableScheme : public CounterScheme
     unsigned coverage() const override { return kCoverage; }
     double decodeLatencyNs() const override { return 3.0; }
 
-    addr::CounterValue read(std::uint64_t idx) const override;
+    addr::CounterValue read(std::uint64_t idx) const override
+    {
+        return majors_[idx / kCoverage] + offsets_[idx];
+    }
     WriteResult write(std::uint64_t idx,
                       addr::CounterValue new_value) override;
     bool encodable(std::uint64_t idx,
@@ -80,16 +83,13 @@ class MorphableScheme : public CounterScheme
                              addr::CounterValue target) override;
     bool cheaplyEncodable(std::uint64_t idx,
                           addr::CounterValue v) const override;
-    std::uint64_t entities() const override { return store_.size(); }
-    const addr::CounterValue *rawValues() const override
-    {
-        return store_.data();
-    }
-    addr::CounterValue observedMax() const override
-    {
-        return store_.observedMax();
-    }
+    std::uint64_t entities() const override { return offsets_.size(); }
     addr::CounterValue blockMax(std::uint64_t idx) const override;
+    std::uint64_t countInRanges(const ValueRanges &ranges) const override;
+    CounterLayout counterLayout() const override
+    {
+        return {offsets_.data(), 1, majors_.data()};
+    }
     void randomInit(util::Rng &rng, addr::CounterValue mean) override;
 
     /** Current format of a block (stats/tests). */
@@ -121,13 +121,6 @@ class MorphableScheme : public CounterScheme
     unpackBlock(const util::BitVec512 &bits);
 
     /**
-     * Smallest fitting format for a set of minor offsets, or nullopt if
-     * only a rebase can accommodate them.
-     */
-    static std::optional<MorphFormat>
-    chooseFormat(const std::vector<std::uint64_t> &offsets);
-
-    /**
      * Force the AVX2 block-scan kernels on/off (tests cross-check the
      * vector kernels against the scalar oracle).  Process-wide, like
      * cache::SetAssocCache::setSimdProbes.
@@ -155,32 +148,45 @@ class MorphableScheme : public CounterScheme
     static std::optional<MorphFormat>
     formatFromSummary(const BlockSummary &s);
 
-    /** Recompute a block's summary from its stored values. */
-    void refreshSummary(addr::CounterBlockId cb);
+    /**
+     * Summary of block cb's offsets taken relative to a candidate major
+     * (each offset + bias, mod 2^64), with entity idx's offset replaced by
+     * idx_off.
+     */
+    BlockSummary summaryWith(addr::CounterBlockId cb, std::uint64_t bias,
+                             std::uint64_t idx, std::uint64_t idx_off) const;
 
-    /** chooseFormat over a raw offsets array (allocation-free core). */
-    static std::optional<MorphFormat>
-    chooseFormat(const std::uint64_t *offsets, std::size_t n);
+    /** A min-shift candidate: the block minimum as major, and the
+     *  summary of the offsets above it. */
+    struct Shift
+    {
+        addr::CounterValue major;
+        BlockSummary summary;
+    };
+
+    /** Slide the major to the block minimum with entity idx set to
+     *  new_value (nothing is stored). */
+    Shift shifted(addr::CounterBlockId cb, std::uint64_t idx,
+                  addr::CounterValue new_value) const;
+
+    /** Set a block's major and zero its offsets (rebase, relevel). */
+    void relevel(addr::CounterBlockId cb, addr::CounterValue v);
 
     /** Offsets (value - major) of every entity in a block. */
     std::vector<std::uint64_t> blockOffsets(addr::CounterBlockId cb) const;
-
-    /**
-     * Format that fits after sliding the major to the block minimum with
-     * entity idx set to new_value; nullopt if none.
-     */
-    std::optional<MorphFormat>
-    shiftedFormat(addr::CounterBlockId cb, std::uint64_t idx,
-                  addr::CounterValue new_value) const;
 
     /** First/last+1 entity of a block. */
     std::pair<std::uint64_t, std::uint64_t>
     blockRange(addr::CounterBlockId cb) const;
 
-    CounterStore store_;
-    std::vector<addr::CounterValue> majors_;
-    std::vector<MorphFormat> formats_;
-    std::vector<BlockSummary> summaries_;
+    //! One major per block; entity i's value is majors_[i / 128] +
+    //! offsets_[i].  Every stored block fits one format, so every offset
+    //! is below 2^16.
+    ZeroedArray<addr::CounterValue> majors_;
+    ZeroedArray<std::uint16_t> offsets_;
+    ZeroedArray<MorphFormat> formats_; //!< Zero bytes = Uniform3.
+    //! Exact digest of each block's offsets (zero bytes = all at major).
+    ZeroedArray<BlockSummary> summaries_;
     std::uint64_t morphs_ = 0;
 };
 

@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace rmcc::ctr
 {
 
 Sc64Scheme::Sc64Scheme(std::uint64_t n)
-    : store_(n), majors_((n + kCoverage - 1) / kCoverage, 0)
+    : majors_((n + kCoverage - 1) / kCoverage), minors_(n)
 {
-}
-
-addr::CounterValue
-Sc64Scheme::read(std::uint64_t idx) const
-{
-    return store_.get(idx);
 }
 
 bool
@@ -25,27 +20,43 @@ Sc64Scheme::encodable(std::uint64_t idx,
     return new_value >= major && new_value - major < kMinorRange;
 }
 
+addr::CounterValue
+Sc64Scheme::blockMax(std::uint64_t idx) const
+{
+    const addr::CounterBlockId cb = blockOf(idx);
+    const auto [first, last] = blockRange(cb);
+    std::uint8_t m = 0;
+    for (std::uint64_t i = first; i < last; ++i)
+        m = std::max(m, minors_[i]);
+    return majors_[cb] + m;
+}
+
+void
+Sc64Scheme::relevel(addr::CounterBlockId cb, addr::CounterValue v)
+{
+    const auto [first, last] = blockRange(cb);
+    majors_[cb] = v;
+    std::memset(minors_.data() + first, 0, last - first);
+    noteStored(v);
+}
+
 WriteResult
 Sc64Scheme::write(std::uint64_t idx, addr::CounterValue new_value)
 {
-    assert(new_value > store_.get(idx));
+    assert(new_value > read(idx));
     const addr::CounterBlockId cb = blockOf(idx);
     if (encodable(idx, new_value)) {
-        store_.set(idx, new_value);
+        minors_[idx] =
+            static_cast<std::uint8_t>(new_value - majors_[cb]);
+        noteStored(new_value);
         return {new_value, false, 0};
     }
     // Overflow: relevel every encoded value in the block to the maximum
     // (paper Sec II-D), which zeroes all minors under a new major; every
     // covered entity's ciphertext must be recomputed with the new value.
-    const std::uint64_t first = cb * kCoverage;
-    const std::uint64_t last =
-        std::min(first + kCoverage, store_.size());
-    addr::CounterValue vmax = new_value;
-    for (std::uint64_t i = first; i < last; ++i)
-        vmax = std::max(vmax, store_.get(i));
-    majors_[cb] = vmax;
-    for (std::uint64_t i = first; i < last; ++i)
-        store_.set(i, vmax);
+    const auto [first, last] = blockRange(cb);
+    const addr::CounterValue vmax = std::max(new_value, blockMax(idx));
+    relevel(cb, vmax);
     ++overflows_;
     return {vmax, true, last - first};
 }
@@ -53,15 +64,20 @@ Sc64Scheme::write(std::uint64_t idx, addr::CounterValue new_value)
 WriteResult
 Sc64Scheme::relevelBlock(std::uint64_t idx, addr::CounterValue target)
 {
-    const addr::CounterBlockId cb = blockOf(idx);
-    const std::uint64_t first = cb * kCoverage;
-    const std::uint64_t last =
-        std::min<std::uint64_t>(first + kCoverage, store_.size());
     assert(target > blockMax(idx));
-    majors_[cb] = target;
-    for (std::uint64_t i = first; i < last; ++i)
-        store_.set(i, target);
+    const addr::CounterBlockId cb = blockOf(idx);
+    const auto [first, last] = blockRange(cb);
+    relevel(cb, target);
     return {target, false, last - first};
+}
+
+std::uint64_t
+Sc64Scheme::countInRanges(const ValueRanges &ranges) const
+{
+    // The minor width bounds every block's spread.
+    return countSplitInRanges(
+        majors_.data(), minors_.data(), minors_.size(), kCoverage, ranges,
+        [](addr::CounterBlockId) { return kMinorRange - 1; });
 }
 
 void
@@ -71,11 +87,14 @@ Sc64Scheme::randomInit(util::Rng &rng, addr::CounterValue mean)
         const addr::CounterValue major =
             rng.nextInRange(mean / 2, mean + mean / 2);
         majors_[cb] = major;
-        const std::uint64_t first = cb * kCoverage;
-        const std::uint64_t last =
-            std::min(first + kCoverage, store_.size());
-        for (std::uint64_t i = first; i < last; ++i)
-            store_.set(i, major + rng.nextBelow(kMinorRange));
+        const auto [first, last] = blockRange(cb);
+        std::uint64_t top = 0;
+        for (std::uint64_t i = first; i < last; ++i) {
+            const std::uint64_t minor = rng.nextBelow(kMinorRange);
+            minors_[i] = static_cast<std::uint8_t>(minor);
+            top = std::max(top, minor);
+        }
+        noteStored(major + top);
     }
 }
 

@@ -9,7 +9,8 @@
 #ifndef RMCC_COUNTERS_SC64_HPP
 #define RMCC_COUNTERS_SC64_HPP
 
-#include <vector>
+#include <algorithm>
+#include <utility>
 
 #include "counters/scheme.hpp"
 
@@ -33,21 +34,22 @@ class Sc64Scheme : public CounterScheme
     unsigned coverage() const override { return kCoverage; }
     double decodeLatencyNs() const override { return 1.0; }
 
-    addr::CounterValue read(std::uint64_t idx) const override;
+    addr::CounterValue read(std::uint64_t idx) const override
+    {
+        return majors_[idx / kCoverage] + minors_[idx];
+    }
     WriteResult write(std::uint64_t idx,
                       addr::CounterValue new_value) override;
     bool encodable(std::uint64_t idx,
                    addr::CounterValue new_value) const override;
     WriteResult relevelBlock(std::uint64_t idx,
                              addr::CounterValue target) override;
-    std::uint64_t entities() const override { return store_.size(); }
-    const addr::CounterValue *rawValues() const override
+    std::uint64_t entities() const override { return minors_.size(); }
+    addr::CounterValue blockMax(std::uint64_t idx) const override;
+    std::uint64_t countInRanges(const ValueRanges &ranges) const override;
+    CounterLayout counterLayout() const override
     {
-        return store_.data();
-    }
-    addr::CounterValue observedMax() const override
-    {
-        return store_.observedMax();
+        return {minors_.data(), 0, majors_.data()};
     }
     void randomInit(util::Rng &rng, addr::CounterValue mean) override;
 
@@ -58,8 +60,21 @@ class Sc64Scheme : public CounterScheme
     }
 
   private:
-    CounterStore store_;
-    std::vector<addr::CounterValue> majors_;
+    /** First/last+1 entity of a block. */
+    std::pair<std::uint64_t, std::uint64_t>
+    blockRange(addr::CounterBlockId cb) const
+    {
+        const std::uint64_t first = cb * kCoverage;
+        return {first, std::min(first + kCoverage, minors_.size())};
+    }
+
+    /** Set a block's major and zero its minors (overflow, relevel). */
+    void relevel(addr::CounterBlockId cb, addr::CounterValue v);
+
+    //! One major per block; entity i's value is majors_[i / 64] +
+    //! minors_[i], and every minor stays below kMinorRange.
+    ZeroedArray<addr::CounterValue> majors_;
+    ZeroedArray<std::uint8_t> minors_;
 };
 
 } // namespace rmcc::ctr

@@ -105,14 +105,17 @@ class CounterScheme
     virtual std::uint64_t entities() const = 0;
 
     /**
-     * Raw dense array of all entities() logical values when the scheme
-     * stores them contiguously; nullptr otherwise.  Bulk scans (stats
-     * reporting) use it to skip one virtual read() per counter.
+     * Number of entities whose counter lies in one of the ranges (sorted,
+     * disjoint, half-open).  Bulk scans (stats reporting) use it instead
+     * of one virtual read() per counter.
      */
-    virtual const addr::CounterValue *rawValues() const { return nullptr; }
+    virtual std::uint64_t countInRanges(const ValueRanges &ranges) const = 0;
+
+    /** Where the counters live in host memory (prefetch hints). */
+    virtual CounterLayout counterLayout() const = 0;
 
     /** Largest counter value ever stored (feeds Observed-System-Max). */
-    virtual addr::CounterValue observedMax() const = 0;
+    addr::CounterValue observedMax() const { return observed_max_; }
 
     /**
      * Randomize counter state, emulating the paper's write-intensive
@@ -169,7 +172,16 @@ class CounterScheme
     std::uint64_t overflows() const { return overflows_; }
 
   protected:
+    /** Track a value being stored (the observed maximum). */
+    void noteStored(addr::CounterValue v)
+    {
+        observed_max_ = std::max(observed_max_, v);
+    }
+
     std::uint64_t overflows_ = 0;
+
+  private:
+    addr::CounterValue observed_max_ = 0;
 };
 
 /** Create a scheme of the given kind for n entities. */

@@ -27,6 +27,10 @@ void
 TracedHeap::load(addr::Addr base, std::uint64_t index,
                  std::uint64_t elem_bytes)
 {
+    // Kernels poll done() once per step; accesses in the tail of the
+    // step that filled the budget are not part of the trace.
+    if (done())
+        return;
     sink_.append(base + index * elem_bytes, false,
                  rng_.nextGeometric(mean_gap_));
 }
@@ -35,6 +39,8 @@ void
 TracedHeap::store(addr::Addr base, std::uint64_t index,
                   std::uint64_t elem_bytes)
 {
+    if (done())
+        return;
     sink_.append(base + index * elem_bytes, true,
                  rng_.nextGeometric(mean_gap_));
 }

@@ -28,13 +28,30 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound) using Lemire rejection; bound > 0. */
-    std::uint64_t nextBelow(std::uint64_t bound);
+    std::uint64_t nextBelow(std::uint64_t bound)
+    {
+        return below(bound, [this] { return next(); });
+    }
 
     /** Uniform integer in [lo, hi] inclusive; requires lo <= hi. */
-    std::uint64_t nextInRange(std::uint64_t lo, std::uint64_t hi);
+    std::uint64_t nextInRange(std::uint64_t lo, std::uint64_t hi)
+    {
+        return lo + nextBelow(hi - lo + 1);
+    }
 
     /** Uniform double in [0, 1). */
     double nextDouble();
@@ -90,6 +107,11 @@ class Rng
     }
 
   private:
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

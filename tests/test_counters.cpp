@@ -335,3 +335,153 @@ TEST(Tree, RandomInitAllLevels)
     EXPECT_GE(tree.level(1).read(0), 2500u);
     EXPECT_GE(tree.observedMax(), 5000u / 2);
 }
+
+namespace
+{
+
+/** FNV-1a over 64-bit words (little-endian bytes). */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void add(std::uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/**
+ * Fold a scheme's whole observable state: every logical value, every
+ * block's major/format where the scheme has them, and its counters.
+ */
+void
+foldState(Fnv1a &f, const CounterScheme &s)
+{
+    for (std::uint64_t i = 0; i < s.entities(); ++i)
+        f.add(s.read(i));
+    const std::uint64_t blocks =
+        (s.entities() + s.coverage() - 1) / s.coverage();
+    if (const auto *sc = dynamic_cast<const Sc64Scheme *>(&s)) {
+        for (std::uint64_t cb = 0; cb < blocks; ++cb)
+            f.add(sc->major(cb));
+    }
+    if (const auto *m = dynamic_cast<const MorphableScheme *>(&s)) {
+        for (std::uint64_t cb = 0; cb < blocks; ++cb) {
+            f.add(m->major(cb));
+            f.add(static_cast<std::uint64_t>(m->format(cb)));
+        }
+        f.add(m->morphs());
+    }
+    f.add(s.observedMax());
+    f.add(s.overflows());
+}
+
+/** Digests after randomInit and after a fixed write/relevel mix. */
+struct GoldenRun
+{
+    std::uint64_t after_init = 0;
+    std::uint64_t after_mix = 0;
+    std::uint64_t major_moves = 0; //!< Non-overflow writes that moved a
+                                   //!< block's major (min-shifts).
+};
+
+GoldenRun
+goldenRun(SchemeKind kind)
+{
+    // 5003 entities: not a multiple of any coverage, so every scheme has
+    // a partial last block.
+    constexpr std::uint64_t kEntities = 5003;
+    auto s = makeScheme(kind, kEntities);
+    const auto *morph = dynamic_cast<const MorphableScheme *>(s.get());
+    GoldenRun out;
+    rmcc::util::Rng init_rng(2024);
+    s->randomInit(init_rng, 100000);
+    Fnv1a f;
+    foldState(f, *s);
+    out.after_init = f.h;
+
+    rmcc::util::Rng rng(77);
+    const unsigned cov = s->coverage();
+    for (int step = 0; step < 30000; ++step) {
+        const std::uint64_t idx = rng.nextBelow(kEntities);
+        const std::uint64_t cb = s->blockOf(idx);
+        if (step % 211 == 0) {
+            const CounterValue target =
+                s->blockMax(idx) + 1 + rng.nextBelow(50);
+            const WriteResult r = s->relevelBlock(idx, target);
+            f.add(r.new_value);
+            f.add(r.overflow);
+            f.add(r.reencrypt_blocks);
+            continue;
+        }
+        if (step % 503 == 0) {
+            // Drift a whole block upward so its minimum leaves the major:
+            // the next far write can then min-shift instead of rebasing.
+            const std::uint64_t first = cb * cov;
+            const std::uint64_t last =
+                std::min<std::uint64_t>(first + cov, kEntities);
+            const CounterValue bump = 1 + rng.nextBelow(6);
+            for (std::uint64_t i = first; i < last; ++i) {
+                const WriteResult r = s->write(i, s->read(i) + bump);
+                f.add(r.new_value);
+                f.add(r.overflow);
+            }
+        }
+        // Small drifts, medium jumps (min-shift / morph territory), and
+        // rare far jumps (rebases).
+        const std::uint64_t bound =
+            step % 97 == 0 ? 20000 : (step % 13 == 0 ? 300 : 12);
+        const CounterValue v = s->read(idx) + 1 + rng.nextBelow(bound);
+        f.add(s->encodable(idx, v));
+        f.add(s->cheaplyEncodable(idx, v));
+        f.add(s->blockMax(idx));
+        const CounterValue major_before = morph ? morph->major(cb) : 0;
+        const WriteResult r = s->write(idx, v);
+        f.add(r.new_value);
+        f.add(r.overflow);
+        f.add(r.reencrypt_blocks);
+        if (morph && !r.overflow && morph->major(cb) != major_before)
+            ++out.major_moves;
+    }
+    foldState(f, *s);
+    out.after_mix = f.h;
+    return out;
+}
+
+} // namespace
+
+// Bit-identity of the counter layer across storage changes: digests of
+// every value, major, format, and write outcome, recorded once and
+// required forever (a change here is a re-baseline, not a refactor).
+TEST(Counters, GoldenStateDigests)
+{
+    struct Golden
+    {
+        SchemeKind kind;
+        std::uint64_t after_init;
+        std::uint64_t after_mix;
+    };
+    const Golden goldens[] = {
+        {SchemeKind::SgxMonolithic, 0xed1d093d70e0b48dULL,
+         0x570f3844a358a90aULL},
+        {SchemeKind::SC64, 0x08e74bfae15ce42dULL,
+         0xb446b8059c84e2ecULL},
+        {SchemeKind::Morphable, 0xdfc41ab24bc5ada9ULL,
+         0x8576d9e34a79a444ULL},
+    };
+    for (const Golden &g : goldens) {
+        const GoldenRun run = goldenRun(g.kind);
+        EXPECT_EQ(run.after_init, g.after_init)
+            << schemeKindName(g.kind) << std::hex << " init 0x"
+            << run.after_init;
+        EXPECT_EQ(run.after_mix, g.after_mix)
+            << schemeKindName(g.kind) << std::hex << " mix 0x"
+            << run.after_mix;
+        if (g.kind == SchemeKind::Morphable) {
+            EXPECT_GT(run.major_moves, 0u) << "mix never min-shifted";
+        }
+    }
+}

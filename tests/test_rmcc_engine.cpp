@@ -6,10 +6,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/rmcc_engine.hpp"
 
 using namespace rmcc::core;
 using namespace rmcc::ctr;
+using rmcc::addr::CounterValue;
 
 namespace
 {
@@ -152,6 +155,71 @@ TEST(Engine, AverageCoverageCountsConformingCounters)
     tree.level(0).relevelBlock(128, 105); // 128 counters at 105
     // 256 covered counters over 8 memoized values = 32 per value.
     EXPECT_NEAR(engine.averageCoverage(0), 256.0 / 8.0, 1e-9);
+}
+
+// averageCoverage counts a block without reading its minors when all of
+// its values lie inside or outside one merged range; check it against a
+// per-entity read() count for every scheme, over blocks fully inside,
+// fully outside and straddling ranges, overlapping and adjacent groups
+// that merge, and a partial last block at every level.
+TEST(Engine, AverageCoverageMatchesBruteForce)
+{
+    const SchemeKind kinds[] = {SchemeKind::SgxMonolithic, SchemeKind::SC64,
+                                SchemeKind::Morphable};
+    const CounterValue starts[] = {1000, 1200, 1240, 1500,
+                                         1564, 2000, 2500, 2990};
+    for (const SchemeKind kind : kinds) {
+        for (const unsigned group_size : {8u, 64u}) {
+            // 128 * 128 * 3 + 37 blocks: a partial last counter block at
+            // levels 0 and 1 for every coverage.
+            IntegrityTree tree(kind, 128 * 128 * 3 + 37);
+            RmccConfig cfg = testConfig();
+            cfg.memo.group_size = group_size;
+            RmccEngine engine(cfg, tree);
+            rmcc::util::Rng rng(11);
+            tree.randomInit(rng, 1000);
+            for (unsigned k = 0; k < 2; ++k) {
+                CounterScheme &s = tree.level(k);
+                const unsigned cov = s.coverage();
+                const std::uint64_t blocks =
+                    (s.entities() + cov - 1) / cov;
+                // Whole blocks parked inside a group, just below one,
+                // and far away from every group; every fourth block keeps
+                // its randomInit state.
+                const CounterValue parks[] = {3000, 2003, 1199, 5000,
+                                              1210};
+                for (std::uint64_t cb = 0; cb < blocks; ++cb) {
+                    if (cb % 4 == 3)
+                        continue;
+                    const std::uint64_t idx = cb * cov;
+                    const CounterValue target =
+                        std::max(parks[cb % 5], s.blockMax(idx) + 1);
+                    s.relevelBlock(idx, target);
+                }
+                // Small drifts make parked blocks straddle range edges.
+                for (int w = 0; w < 2000; ++w) {
+                    const std::uint64_t i = rng.nextBelow(s.entities());
+                    s.write(i, s.read(i) + 1 + rng.nextBelow(5));
+                }
+                for (const CounterValue st : starts)
+                    engine.table(k).insertGroup(st);
+
+                std::set<CounterValue> distinct;
+                for (const CounterValue st : starts)
+                    for (unsigned d = 0; d < group_size; ++d)
+                        distinct.insert(st + d);
+                std::uint64_t covered = 0;
+                for (std::uint64_t i = 0; i < s.entities(); ++i)
+                    covered += distinct.count(s.read(i));
+                ASSERT_GT(covered, 0u);
+                EXPECT_EQ(engine.averageCoverage(k),
+                          static_cast<double>(covered) /
+                              static_cast<double>(distinct.size()))
+                    << schemeKindName(kind) << " level " << k
+                    << " group_size " << group_size;
+            }
+        }
+    }
 }
 
 TEST(Engine, BudgetsAreIndependentPerLevel)

@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "fault/campaign.hpp"
 #include "sim/experiments.hpp"
 
 using namespace rmcc;
@@ -196,4 +199,135 @@ TEST(Integration, RegistryLookupsIndependentOfTraceLength)
 
     EXPECT_EQ(short_lookups, long_lookups)
         << "string-keyed stat lookups must not scale with trace length";
+}
+
+namespace
+{
+
+/** FNV-1a over 64-bit words and strings. */
+struct CellDigest
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void byte(unsigned char b)
+    {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    void add(std::uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b)
+            byte(static_cast<unsigned char>(v >> (8 * b)));
+    }
+    void add(double d)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &d, sizeof bits);
+        add(bits);
+    }
+    void add(const std::string &str)
+    {
+        for (const char c : str)
+            byte(static_cast<unsigned char>(c));
+        add(static_cast<std::uint64_t>(str.size()));
+    }
+    /** The fields two runs of one cell must agree on bit for bit. */
+    void add(const SimResult &r)
+    {
+        for (const auto &[name, value] : r.stats.all()) {
+            add(name);
+            add(value);
+        }
+        add(r.instructions);
+        add(r.elapsed_ns);
+    }
+    void add(const fault::FaultStats &fs)
+    {
+        for (const auto &site : fs.counts)
+            for (const auto &kind : site)
+                for (const std::uint64_t n : kind)
+                    add(n);
+        add(fs.injected);
+        add(fs.reads_verified);
+        add(fs.unexpected_failures);
+    }
+};
+
+/** A configuration shaped like a short benchmark cell. */
+SystemConfig
+cellShape(NamedConfig nc, std::size_t records)
+{
+    nc.cfg.trace_records = records;
+    nc.cfg.warmup_records = records / 2;
+    nc.cfg.seed = 42;
+    return nc.cfg;
+}
+
+} // namespace
+
+// Bit-identity of whole cells across host-side refactors: the four
+// Fig 13 timing cells on two workloads and the functional Morphable+RMCC
+// cell with and without a seeded fault campaign, digested over every
+// field the benchmark's repeat check compares.  Recorded once; a change
+// here is a re-baseline of the simulated figures, not a refactor.
+TEST(Integration, GoldenCellDigests)
+{
+    constexpr std::size_t kRecords = 60000;
+    const std::vector<NamedConfig> timing = {
+        nonSecureConfig(SimMode::Timing),
+        baselineConfig(SimMode::Timing, ctr::SchemeKind::SC64),
+        baselineConfig(SimMode::Timing, ctr::SchemeKind::Morphable),
+        rmccConfig(SimMode::Timing),
+    };
+    struct Golden
+    {
+        const char *workload;
+        std::uint64_t digests[4]; //!< One per timing config, in order.
+    };
+    const Golden goldens[] = {
+        {"canneal",
+         {0x974c14fae265e2a5ULL, 0x7e3aac84f4656027ULL,
+          0x33a436e802b647b2ULL, 0x15050beb69d73322ULL}},
+        {"omnetpp",
+         {0x74de1c662a234c6dULL, 0xae343724a9c5e294ULL,
+          0xbafb317021057195ULL, 0xc7ba1ceb8ef61478ULL}},
+    };
+    for (const Golden &g : goldens) {
+        const auto *w = wl::findWorkload(g.workload);
+        const auto trace = wl::generateTrace(*w, kRecords, 42);
+        for (std::size_t c = 0; c < timing.size(); ++c) {
+            CellDigest d;
+            d.add(runTiming(w->name, trace, cellShape(timing[c], kRecords)));
+            EXPECT_EQ(d.h, g.digests[c])
+                << g.workload << " / " << timing[c].label << std::hex
+                << " digest 0x" << d.h;
+        }
+    }
+
+    const auto *w = wl::findWorkload("canneal");
+    const auto trace = wl::generateTrace(*w, kRecords, 42);
+    const SystemConfig fcfg =
+        cellShape(rmccConfig(SimMode::Functional), kRecords);
+    const std::uint64_t fgoldens[2] = {0x330cfbc0e728bbb9ULL,
+                                       0x28e6739512c0f997ULL};
+    for (const bool with_campaign : {false, true}) {
+        CellDigest d;
+        if (with_campaign) {
+            fault::FaultPlan plan;
+            plan.injections = 100;
+            plan.gap_records = kRecords / (2 * plan.injections);
+            plan.seed = 42 ^ 0x5eedULL;
+            fault::FaultCampaign campaign(plan, fault::OracleConfig());
+            d.add(runFunctional(w->name, trace, fcfg, &campaign));
+            d.add(campaign.stats());
+            EXPECT_EQ(campaign.stats().silent(), 0u);
+            EXPECT_EQ(campaign.stats().injected, plan.injections);
+        } else {
+            d.add(runFunctional(w->name, trace, fcfg));
+        }
+        EXPECT_EQ(d.h, fgoldens[with_campaign])
+            << "functional Morphable+RMCC"
+            << (with_campaign ? "+faults" : "") << std::hex << " digest 0x"
+            << d.h;
+    }
 }

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -281,6 +282,78 @@ INSTANTIATE_TEST_SUITE_P(Suite, WorkloadTraces,
                                            "DFS", "BFS", "triangleCount",
                                            "shortestPath", "canneal",
                                            "omnetpp", "mcf"));
+
+// A generator stops recording once its budget is met: every registered
+// workload fills exactly N records with no refused appends (the tail of
+// its last kernel step used to overrun the buffer and log a misleading
+// "trace buffer full" warning), and the N records are the ones the
+// unbounded generator produced.
+TEST(WorkloadTraces, GeneratorsStopAtBudget)
+{
+    const std::size_t sizes[] = {10000, 123457, 1000000};
+    struct Golden
+    {
+        const char *name;
+        std::uint64_t digests[3]; //!< One per size, in order.
+    };
+    const Golden goldens[] = {
+        {"pageRank",
+         {0x2f1e776d20fce353ULL, 0x549d67274cddd5ddULL,
+          0xf2ba2d3f16984eabULL}},
+        {"graphColoring",
+         {0x13d8cc9010858e5bULL, 0x50ebe599ad7eee1fULL,
+          0x829e9aa4b342ab77ULL}},
+        {"connectedComp",
+         {0x7365c840b5f9c5a0ULL, 0xdcd17d232f47530aULL,
+          0xbcb9cb2aac769e87ULL}},
+        {"degreeCentr",
+         {0xfff07b29a9ae2ee7ULL, 0x5dd7652339298e60ULL,
+          0xb48f7d7c48537436ULL}},
+        {"DFS",
+         {0x6d913a8362ed4ecaULL, 0x07aba7e8fd9ca0a9ULL,
+          0x2dee4448606f51a9ULL}},
+        {"BFS",
+         {0x2fac738958dcb8d5ULL, 0x15dc88b965e39546ULL,
+          0x11e82ddd2db99944ULL}},
+        {"triangleCount",
+         {0xb20e1d0e7ab1784fULL, 0xb481805671fc24f5ULL,
+          0xe702e75f22971cdcULL}},
+        {"shortestPath",
+         {0x6933a76daa397422ULL, 0x96048af89b68e251ULL,
+          0x2dbbb5cb669df4c2ULL}},
+        {"canneal",
+         {0xd131ed95c0fd4d6aULL, 0x516fdfc637ff3301ULL,
+          0x277c27f4f8a6dfddULL}},
+        {"omnetpp",
+         {0xf291e2e841bc46b3ULL, 0x7cd50c87f0b4ba3dULL,
+          0x88159632b5206662ULL}},
+        {"mcf",
+         {0xe0acfdb54bc1b0dcULL, 0xc226800a33acdac5ULL,
+          0x69ca45da74700553ULL}},
+    };
+    ASSERT_EQ(std::size(goldens), workloadSuite().size());
+    for (const Golden &g : goldens) {
+        const Workload *w = findWorkload(g.name);
+        ASSERT_NE(w, nullptr) << g.name;
+        for (std::size_t k = 0; k < std::size(sizes); ++k) {
+            const auto t = generateTrace(*w, sizes[k], 42);
+            EXPECT_EQ(t.size(), sizes[k]) << g.name;
+            EXPECT_EQ(t.dropped(), 0u) << g.name << " at " << sizes[k];
+            std::uint64_t h = 0xcbf29ce484222325ULL;
+            for (const trace::Record &r : t.records()) {
+                const std::uint64_t word =
+                    r.vaddr | (static_cast<std::uint64_t>(r.inst_gap) << 47) |
+                    (static_cast<std::uint64_t>(r.is_write) << 63);
+                for (int b = 0; b < 8; ++b) {
+                    h ^= (word >> (8 * b)) & 0xff;
+                    h *= 0x100000001b3ULL;
+                }
+            }
+            EXPECT_EQ(h, g.digests[k]) << g.name << " at " << sizes[k]
+                                       << std::hex << " digest 0x" << h;
+        }
+    }
+}
 
 TEST(WorkloadCharacter, CannealIsMoreIrregularThanMcf)
 {
