@@ -58,23 +58,14 @@ class Aes
     /**
      * Encrypt one 128-bit block (fast path).
      *
-     * Rounds run in 32-bit T-table form: SubBytes, ShiftRows, and
-     * MixColumns collapse into four 256-entry word tables, generated
-     * once at startup from the FIPS-197 S-box.  Produces bit-identical
-     * output to encryptReference().
+     * Runs AES-NI when RMCC_CRYPTO_IMPL routes AES to hardware (see
+     * crypto/dispatch.hpp).  Otherwise rounds run in 32-bit T-table
+     * form: SubBytes, ShiftRows, and MixColumns collapse into four
+     * 256-entry word tables, generated once at startup from the FIPS-197
+     * S-box.  Either way the output is bit-identical to
+     * encryptReference().
      */
     Block128 encrypt(const Block128 &plaintext) const;
-
-    /**
-     * Encrypt n independent blocks under this key schedule in one
-     * dispatch.  With the hardware path and batching active
-     * (RMCC_CRYPTO_BATCH, see crypto/dispatch.hpp) the blocks pipeline
-     * through the interleaved AES-NI kernel 4-8 streams at a time;
-     * otherwise each block runs the scalar kernel in a loop, so results
-     * are bit-identical in every mode.  in == out aliasing is allowed.
-     */
-    void encryptBlocks(const Block128 *in, Block128 *out,
-                       std::size_t n) const;
 
     /**
      * Encrypt one block with the byte-wise FIPS-197 reference rounds
@@ -101,7 +92,7 @@ class Aes
     void expandKey(const std::uint8_t *key, std::size_t key_words);
 
     /** The T-table rounds with no dispatch or op counting (the software
-     *  body encrypt() and encryptBlocks() route to). */
+     *  body encrypt() routes to). */
     Block128 encryptSw(const Block128 &plaintext) const;
 
     /** Round keys as 4-byte words; 4 * (rounds + 1) words. */

@@ -1,7 +1,5 @@
 #include "crypto/clmul.hpp"
 
-#include <algorithm>
-
 #include "crypto/dispatch.hpp"
 
 namespace rmcc::crypto
@@ -87,72 +85,10 @@ clmul128Sw(const Block128 &a, const Block128 &b)
     return out;
 }
 
-} // namespace
-
-U256
-clmul128(const Block128 &a, const Block128 &b)
-{
-    const bool hw = detail::dispatchState().hw_clmul;
-    detail::countClmul(hw);
-    if (hw)
-        return detail::clmul128Hw(a, b);
-    return clmul128Sw(a, b);
-}
-
-void
-clmul128Batch(const Block128 *a, const Block128 *b, U256 *out,
-              std::size_t n)
-{
-    const detail::DispatchState &st = detail::dispatchState();
-    if (st.hw_clmul) {
-        const bool batched = st.batch_clmul && n > 1;
-        detail::countClmulN(true, n, batched);
-        if (batched) {
-            detail::clmul128HwBatch(a, b, out, n);
-            return;
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = detail::clmul128Hw(a[i], b[i]);
-        return;
-    }
-    detail::countClmulN(false, n, false);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = clmul128Sw(a[i], b[i]);
-}
-
-Block128
-truncmulMiddle(const Block128 &a, const Block128 &b)
-{
-    const U256 p = clmul128(a, b);
-    // Middle 128 bits: limbs 1 (low half) and 2 (high half).
-    return makeBlock(p.limb[2], p.limb[1]);
-}
-
-void
-truncmulMiddleBatch(const Block128 *a, const Block128 *b, Block128 *out,
-                    std::size_t n)
-{
-    // Chunked so arbitrarily large n never heap-allocates for products.
-    constexpr std::size_t kChunk = 16;
-    U256 prods[kChunk];
-    for (std::size_t base = 0; base < n; base += kChunk) {
-        const std::size_t m = std::min(kChunk, n - base);
-        clmul128Batch(a + base, b + base, prods, m);
-        for (std::size_t i = 0; i < m; ++i)
-            out[base + i] = makeBlock(prods[i].limb[2], prods[i].limb[1]);
-    }
-}
-
-Block128
-gf128Mul(const Block128 &a, const Block128 &b)
-{
-    return gf128Reduce(clmul128(a, b));
-}
-
+/** Reduce a 256-bit carry-less product modulo x^128 + x^7 + x^2 + x + 1. */
 Block128
 gf128Reduce(const U256 &p)
 {
-    // Reduce the 256-bit product modulo x^128 + x^7 + x^2 + x + 1.
     // Folding a bit at position 128+i adds bits at i+7, i+2, i+1, i.
     std::uint64_t r[4] = {p.limb[0], p.limb[1], p.limb[2], p.limb[3]};
     auto fold_word = [&](int w) {
@@ -174,6 +110,32 @@ gf128Reduce(const U256 &p)
     fold_word(3);
     fold_word(2);
     return makeBlock(r[1], r[0]);
+}
+
+} // namespace
+
+U256
+clmul128(const Block128 &a, const Block128 &b)
+{
+    const bool hw = detail::dispatchState().hw_clmul;
+    detail::countClmul(hw);
+    if (hw)
+        return detail::clmul128Hw(a, b);
+    return clmul128Sw(a, b);
+}
+
+Block128
+truncmulMiddle(const Block128 &a, const Block128 &b)
+{
+    const U256 p = clmul128(a, b);
+    // Middle 128 bits: limbs 1 (low half) and 2 (high half).
+    return makeBlock(p.limb[2], p.limb[1]);
+}
+
+Block128
+gf128Mul(const Block128 &a, const Block128 &b)
+{
+    return gf128Reduce(clmul128(a, b));
 }
 
 } // namespace rmcc::crypto

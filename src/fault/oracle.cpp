@@ -363,13 +363,11 @@ DetectionOracle::verifyRead(addr::BlockId blk, bool memo_hit)
     refreshData(blk);
 
     // Every MAC OTP the chain walk below needs is determined by the
-    // refreshed stored state, so gather all (address, counter) pairs —
-    // one per tree level plus the data block — and run them through a
-    // single batched dispatch.  The independent AES streams of the whole
-    // verify then pipeline through AES-NI instead of serializing level
-    // by level.
-    std::vector<std::uint64_t> otp_addrs(levels + 1);
-    std::vector<std::uint64_t> otp_ctrs(levels + 1);
+    // refreshed stored state, so all of them are computed up front: one
+    // per tree level on the platform keys plus the data block's on its
+    // key domain.  A read then costs the same crypto ops whether or not
+    // its verification fails part way down the chain.
+    std::vector<crypto::Block128> otps(levels + 1);
     for (unsigned ku = 0; ku < levels; ++ku) {
         addr::CounterValue parent_used;
         if (ku + 1 < levels) {
@@ -381,8 +379,8 @@ DetectionOracle::verifyRead(addr::BlockId blk, bool memo_hit)
         } else {
             parent_used = parentTruth(ku, path[ku]);
         }
-        otp_addrs[ku] = tree_.blockAddr(ku, path[ku]);
-        otp_ctrs[ku] = parent_used & crypto::kCounterMask;
+        otps[ku] = otp_->macOtp(tree_.blockAddr(ku, path[ku]),
+                                parent_used & crypto::kCounterMask);
     }
 
     // Counter the controller would use for the data block: the stored L0
@@ -394,21 +392,8 @@ DetectionOracle::verifyRead(addr::BlockId blk, bool memo_hit)
         slot0 < n0.cur.values.size() ? n0.cur.values[slot0] : 0;
     if (memo_fault_ && memo_hit && ctr_used == memo_fault_->first)
         ctr_used = memo_fault_->second;
-    otp_addrs[levels] = addr::blockBase(blk);
-    otp_ctrs[levels] = ctr_used & crypto::kCounterMask;
-
-    std::vector<crypto::Block128> otps(levels + 1);
-    if (cfg_.key_domain_shift == 0) {
-        otp_->macOtps(otp_addrs.data(), otp_ctrs.data(), otps.data(),
-                      levels + 1);
-    } else {
-        // Node MACs stay on the platform keys; the data slot's OTP comes
-        // from the block's tenant key domain and cannot share the batch.
-        otp_->macOtps(otp_addrs.data(), otp_ctrs.data(), otps.data(),
-                      levels);
-        otps[levels] = dataEngine(blk).macOtp(otp_addrs[levels],
-                                              otp_ctrs[levels]);
-    }
+    otps[levels] = dataEngine(blk).macOtp(addr::blockBase(blk),
+                                          ctr_used & crypto::kCounterMask);
 
     // MAC chain, trust anchor downward: every node's tag is recomputed
     // over its *stored* values under the value its *stored* parent holds

@@ -72,7 +72,7 @@ struct SimRig
           init_max(0)
     {
         // The timing model charges latencies instead of running crypto,
-        // so a garbage RMCC_CRYPTO_IMPL/BATCH would otherwise never be
+        // so a garbage RMCC_CRYPTO_IMPL would otherwise never be
         // parsed.  Resolve the dispatch up front: runner knobs are
         // caller contract and must abort loudly (same policy as the
         // other strict RMCC_* vars).

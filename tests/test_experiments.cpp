@@ -166,12 +166,12 @@ TEST(SuiteRunner, ParallelMatchesSerialBitForBit)
     }
 }
 
-TEST(SuiteRunner, BatchAndSimdPathsAreBitIdentical)
+TEST(SuiteRunner, SimdProbesAreBitIdentical)
 {
-    // The guard behind every fig03-fig22 / secIV CSV: the batched crypto
-    // pipeline and the AVX2 cache probes are throughput-only — the same
-    // cells replayed with both accelerations disabled must produce every
-    // stat, instruction count, and cycle count bit for bit.
+    // The guard behind every fig03-fig22 / secIV CSV: the AVX2 cache
+    // probes are throughput-only — the same cells replayed with the
+    // scalar probes must produce every stat, instruction count, and
+    // cycle count bit for bit.
     std::vector<NamedConfig> configs = {
         nonSecureConfig(SimMode::Timing),
         rmccConfig(SimMode::Timing),
@@ -182,19 +182,9 @@ TEST(SuiteRunner, BatchAndSimdPathsAreBitIdentical)
     }
     const auto *w = wl::findWorkload("omnetpp");
 
-    const char *prev_batch = std::getenv("RMCC_CRYPTO_BATCH");
-    const std::string saved = prev_batch != nullptr ? prev_batch : "";
-
-    setenv("RMCC_CRYPTO_BATCH", "off", 1);
-    crypto::reresolveCryptoDispatch();
     cache::SetAssocCache::setSimdProbes(false);
     const SuiteRow scalar = runWorkload(*w, configs);
 
-    if (prev_batch != nullptr)
-        setenv("RMCC_CRYPTO_BATCH", saved.c_str(), 1);
-    else
-        unsetenv("RMCC_CRYPTO_BATCH");
-    crypto::reresolveCryptoDispatch();
     cache::SetAssocCache::setSimdProbes(
         crypto::detectCpuFeatures().avx2);
     const SuiteRow fast = runWorkload(*w, configs);
