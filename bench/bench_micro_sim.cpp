@@ -9,10 +9,8 @@
  * (spilled windowed-mmap replay vs the in-RAM buffer, with peak RSS).
  * Results are written as machine-readable JSON (BENCH_8.json by
  * default) for the CI perf-smoke job, which fails if RMCC_OBS=off costs
- * more than 2% over the no-obs baseline, if the AVX2 cache probes fail
- * to engage on an AVX2 runner, if replay with the AVX2 probes regresses
- * against the in-process scalar-probe rate, or if the spilled replay
- * drops below 0.9x in-RAM.
+ * more than 2% over the no-obs baseline or if the spilled replay drops
+ * below 0.9x in-RAM.
  *
  * Every A/B gate uses the same median-of-medians protocol: the two
  * modes run as back-to-back pairs with alternating order, one discarded
@@ -39,7 +37,6 @@
 
 #include <sys/resource.h>
 
-#include "cache/set_assoc.hpp"
 #include "crypto/dispatch.hpp"
 #include "crypto/otp.hpp"
 #include "obs/registry.hpp"
@@ -221,27 +218,9 @@ main(int argc, char **argv)
         rps_baseline / static_cast<double>(trace.size()) *
         mc_blocks_per_run;
 
-    // --- Scalar-probe replay: the AVX2 SetAssocCache way scan forced
-    // off, measured in the same process so the CI regression gate
-    // compares AVX2 against scalar probes on identical hardware instead
-    // of against a runner-dependent absolute number.
-    const bool avx2_probes = crypto::detectCpuFeatures().avx2;
-    const int pairs = std::max(reps, 7);
-    const double scalar_probe_ratio = pairedRatio(
-        [&] {
-            cache::SetAssocCache::setSimdProbes(avx2_probes);
-            return replayRecordsPerSec(w.name, trace, nc.cfg, 3);
-        },
-        [&] {
-            cache::SetAssocCache::setSimdProbes(false);
-            return replayRecordsPerSec(w.name, trace, nc.cfg, 3);
-        },
-        pairs);
-    cache::SetAssocCache::setSimdProbes(avx2_probes);
-    const double rps_scalar_probes = rps_baseline * scalar_probe_ratio;
-
     // --- Observability overhead: off must be within noise of baseline;
     // epochs/full show the cost of sampling and tracing.
+    const int pairs = std::max(reps, 7);
     const std::string obs_dir = "rmcc-obs-bench";
     double rps_base_i = 0.0, rps_off = 0.0;
     const double median_ratio = pairedRatio(
@@ -324,10 +303,9 @@ main(int argc, char **argv)
     const double total_sec = secondsSince(bench_t0);
 
     std::printf("replay: workload=%s records=%zu reps=%d -> "
-                "%.0f records/sec, %.0f mc-blocks/sec "
-                "(scalar probes %.0f records/sec)\n",
+                "%.0f records/sec, %.0f mc-blocks/sec\n",
                 w.name.c_str(), trace.size(), reps, rps_baseline,
-                blocks_per_sec, rps_scalar_probes);
+                blocks_per_sec);
     std::printf("obs:    off %.0f rec/s (%+.2f%% vs baseline), "
                 "epochs %.0f rec/s, full %.0f rec/s\n",
                 rps_off, -off_overhead_pct, rps_epochs, rps_full);
@@ -340,9 +318,6 @@ main(int argc, char **argv)
                 "clmul128 %.2fM op/s (active), %.2fM op/s (sw)\n",
                 aes_active / 1e6, hw_aes ? ", hw" : ", sw",
                 aes_sw / 1e6, clmul_active / 1e6, clmul_sw / 1e6);
-    std::printf("simd:   cache probes %s\n",
-                cache::SetAssocCache::simdProbesActive() ? "avx2"
-                                                         : "scalar");
     std::printf("suite wall-clock: %.3f s\n", total_sec);
 
     std::FILE *f = std::fopen(out_path.c_str(), "w");
@@ -358,7 +333,6 @@ main(int argc, char **argv)
                  "    \"records\": %zu,\n"
                  "    \"reps\": %d,\n"
                  "    \"records_per_sec\": %.1f,\n"
-                 "    \"records_per_sec_scalar_probes\": %.1f,\n"
                  "    \"blocks_per_sec\": %.1f\n"
                  "  },\n"
                  "  \"obs\": {\n"
@@ -378,10 +352,6 @@ main(int argc, char **argv)
                  "    \"clmul128_ops_per_sec_active\": %.1f,\n"
                  "    \"clmul128_ops_per_sec_sw\": %.1f\n"
                  "  },\n"
-                 "  \"simd\": {\n"
-                 "    \"cpu_avx2\": %s,\n"
-                 "    \"simd_probes_active\": %s\n"
-                 "  },\n"
                  "  \"spill\": {\n"
                  "    \"spilled\": %s,\n"
                  "    \"window_records\": %llu,\n"
@@ -393,15 +363,12 @@ main(int argc, char **argv)
                  "  \"suite_wall_clock_sec\": %.6f\n"
                  "}\n",
                  w.name.c_str(), trace.size(), reps, rps_baseline,
-                 rps_scalar_probes, blocks_per_sec, rps_base_i, rps_off,
+                 blocks_per_sec, rps_base_i, rps_off,
                  rps_epochs, rps_full, off_overhead_pct,
                  cpu.aesni ? "true" : "false",
                  cpu.pclmul ? "true" : "false",
                  hw_aes ? "true" : "false", hw_clmul ? "true" : "false",
                  aes_active, aes_sw, clmul_active, clmul_sw,
-                 cpu.avx2 ? "true" : "false",
-                 cache::SetAssocCache::simdProbesActive() ? "true"
-                                                          : "false",
                  spilled.spilled() ? "true" : "false",
                  static_cast<unsigned long long>(window_records),
                  rps_spilled, spill_ratio, trace_file_bytes,

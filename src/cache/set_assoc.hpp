@@ -88,15 +88,10 @@ class SetAssocCache
     }
 
     /**
-     * Force the AVX2 way-scan on or off for every cache in the process
-     * (default: on iff the CPU reports AVX2).  The vector and scalar
-     * scans return identical ways — tags are unique within a set and
-     * both pick the lowest-index match / first minimum — so this is an
-     * A/B and test hook, not a behavior switch.
+     * Always false: way scans have one scalar loop.  Kept only so
+     * provenance records that still report a SIMD-probe flag keep
+     * building.
      */
-    static void setSimdProbes(bool on);
-
-    /** True when way scans currently use the AVX2 tag compare. */
     static bool simdProbesActive();
 
     /**

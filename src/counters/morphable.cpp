@@ -1,16 +1,10 @@
 #include "counters/morphable.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstring>
 
-#include "crypto/dispatch.hpp"
 #include "util/log.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
 
 namespace rmcc::ctr
 {
@@ -55,26 +49,18 @@ constexpr std::size_t kPayloadBase = kMajorBits + kFormatBits;
 constexpr unsigned kNoOffset = ~0u;
 
 // ---------------------------------------------------------------------------
-// Block-scan kernels.  Every encodability decision reduces to two scans
-// over a block's contiguous 16-bit offsets: a summary (max offset above a
+// Block scans.  Every encodability decision reduces to two scans over a
+// block's contiguous 16-bit offsets: a summary (max offset above a
 // candidate major, non-zero count, >=8 count -- exactly the facts the
 // format predicates test) and a min/max.  The summary takes the offsets
 // relative to a candidate major as offset + bias (mod 2^64, bias = stored
-// major - candidate major); the true results are far below 2^63, so the
-// AVX2 kernel's signed 64-bit compares agree with the unsigned scalar
-// ones.  Same gating discipline as the cache way scans: CPUID-seeded
-// process-wide toggle, scalar kernels kept as the oracle (cross-checked
-// in tests).
+// major - candidate major).
 // ---------------------------------------------------------------------------
-
-//! -1 unresolved, else 0/1; atomic so suite-runner threads race benignly.
-std::atomic<int> g_simd_scan{-1};
 
 /** Accumulate (max_off, nonzero, ge8) over offs[0..n) + bias. */
 void
-summarizeSpanScalar(const std::uint16_t *offs, std::size_t n,
-                    std::uint64_t bias, std::uint64_t &max_off,
-                    unsigned &nonzero, unsigned &ge8)
+summarizeSpan(const std::uint16_t *offs, std::size_t n, std::uint64_t bias,
+              std::uint64_t &max_off, unsigned &nonzero, unsigned &ge8)
 {
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t off = offs[i] + bias;
@@ -86,8 +72,8 @@ summarizeSpanScalar(const std::uint16_t *offs, std::size_t n,
 
 /** Fold offs[0..n) into the running [lo, hi] envelope. */
 void
-minmaxSpanScalar(const std::uint16_t *offs, std::size_t n, unsigned &lo,
-                 unsigned &hi)
+minmaxSpan(const std::uint16_t *offs, std::size_t n, unsigned &lo,
+           unsigned &hi)
 {
     for (std::size_t i = 0; i < n; ++i) {
         lo = std::min<unsigned>(lo, offs[i]);
@@ -95,114 +81,12 @@ minmaxSpanScalar(const std::uint16_t *offs, std::size_t n, unsigned &lo,
     }
 }
 
-#if defined(__x86_64__) || defined(__i386__)
-
-__attribute__((target("avx2"))) void
-summarizeSpanAvx2(const std::uint16_t *offs, std::size_t n,
-                  std::uint64_t bias, std::uint64_t &max_off,
-                  unsigned &nonzero, unsigned &ge8)
-{
-    const __m256i b = _mm256_set1_epi64x(static_cast<long long>(bias));
-    const __m256i seven = _mm256_set1_epi64x(7);
-    const __m256i zero = _mm256_setzero_si256();
-    __m256i vmax = zero;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i off = _mm256_add_epi64(
-            _mm256_cvtepu16_epi64(_mm_loadl_epi64(
-                reinterpret_cast<const __m128i *>(offs + i))),
-            b);
-        const __m256i gt = _mm256_cmpgt_epi64(off, vmax);
-        vmax = _mm256_blendv_epi8(vmax, off, gt);
-        const int zmask = _mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(off, zero)));
-        nonzero += 4u - static_cast<unsigned>(
-                            __builtin_popcount(static_cast<unsigned>(
-                                zmask)));
-        const int gmask = _mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpgt_epi64(off, seven)));
-        ge8 += static_cast<unsigned>(
-            __builtin_popcount(static_cast<unsigned>(gmask)));
-    }
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), vmax);
-    for (int k = 0; k < 4; ++k)
-        max_off = std::max(max_off, lanes[k]);
-    summarizeSpanScalar(offs + i, n - i, bias, max_off, nonzero, ge8);
-}
-
-__attribute__((target("avx2"))) void
-minmaxSpanAvx2(const std::uint16_t *offs, std::size_t n, unsigned &lo,
-               unsigned &hi)
-{
-    if (n < 16) {
-        minmaxSpanScalar(offs, n, lo, hi);
-        return;
-    }
-    __m256i vlo = _mm256_set1_epi16(-1);
-    __m256i vhi = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m256i x = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(offs + i));
-        vlo = _mm256_min_epu16(vlo, x);
-        vhi = _mm256_max_epu16(vhi, x);
-    }
-    alignas(32) std::uint16_t los[16], his[16];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(los), vlo);
-    _mm256_store_si256(reinterpret_cast<__m256i *>(his), vhi);
-    minmaxSpanScalar(los, 16, lo, hi);
-    minmaxSpanScalar(his, 16, lo, hi);
-    minmaxSpanScalar(offs + i, n - i, lo, hi);
-}
-
-#endif // x86
-
-/** Dispatching summarize: AVX2 when enabled, scalar oracle otherwise. */
-void
-summarizeSpan(const std::uint16_t *offs, std::size_t n, std::uint64_t bias,
-              std::uint64_t &max_off, unsigned &nonzero, unsigned &ge8)
-{
-#if defined(__x86_64__) || defined(__i386__)
-    if (MorphableScheme::simdScanActive()) {
-        summarizeSpanAvx2(offs, n, bias, max_off, nonzero, ge8);
-        return;
-    }
-#endif
-    summarizeSpanScalar(offs, n, bias, max_off, nonzero, ge8);
-}
-
-/** Dispatching min/max envelope fold. */
-void
-minmaxSpan(const std::uint16_t *offs, std::size_t n, unsigned &lo,
-           unsigned &hi)
-{
-#if defined(__x86_64__) || defined(__i386__)
-    if (MorphableScheme::simdScanActive()) {
-        minmaxSpanAvx2(offs, n, lo, hi);
-        return;
-    }
-#endif
-    minmaxSpanScalar(offs, n, lo, hi);
-}
-
 } // namespace
-
-void
-MorphableScheme::setSimdScan(bool on)
-{
-    g_simd_scan.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 bool
 MorphableScheme::simdScanActive()
 {
-    int v = g_simd_scan.load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = crypto::detectCpuFeatures().avx2 ? 1 : 0;
-        g_simd_scan.store(v, std::memory_order_relaxed);
-    }
-    return v == 1;
+    return false;
 }
 
 std::optional<MorphFormat>

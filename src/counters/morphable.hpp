@@ -121,13 +121,10 @@ class MorphableScheme : public CounterScheme
     unpackBlock(const util::BitVec512 &bits);
 
     /**
-     * Force the AVX2 block-scan kernels on/off (tests cross-check the
-     * vector kernels against the scalar oracle).  Process-wide, like
-     * cache::SetAssocCache::setSimdProbes.
+     * Always false: block scans have one scalar loop.  Kept only so
+     * provenance records that still report a SIMD-scan flag keep
+     * building.
      */
-    static void setSimdScan(bool on);
-
-    /** Are the AVX2 block scans active (CPUID-seeded by default)? */
     static bool simdScanActive();
 
   private:

@@ -42,7 +42,7 @@ struct CpuFeatures
 {
     bool aesni = false;  //!< AESENC/AESENCLAST available.
     bool pclmul = false; //!< PCLMULQDQ available.
-    bool avx2 = false;   //!< 256-bit integer SIMD (cache tag probes).
+    bool avx2 = false;   //!< 256-bit integer SIMD (provenance only).
 };
 
 /** Probe the running CPU (all-false on non-x86 builds). */

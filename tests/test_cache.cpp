@@ -8,29 +8,9 @@
 #include "cache/hierarchy.hpp"
 #include "cache/set_assoc.hpp"
 #include "cache/tlb.hpp"
-#include "crypto/dispatch.hpp"
 
 using namespace rmcc::cache;
 using rmcc::addr::Addr;
-
-namespace
-{
-
-/** Scoped SIMD-probe override; restores the CPU-derived default. */
-struct ScopedSimdProbes
-{
-    explicit ScopedSimdProbes(bool on)
-    {
-        SetAssocCache::setSimdProbes(on);
-    }
-    ~ScopedSimdProbes()
-    {
-        SetAssocCache::setSimdProbes(
-            rmcc::crypto::detectCpuFeatures().avx2);
-    }
-};
-
-} // namespace
 
 TEST(SetAssoc, HitAfterMiss)
 {
@@ -135,45 +115,67 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::uint64_t, unsigned>{32768, 8},
                       std::pair<std::uint64_t, unsigned>{131072, 32}));
 
-TEST(SetAssoc, SimdProbesMatchScalarProbes)
+TEST(SetAssoc, GoldenAccessDigests)
 {
-    // The AVX2 tag-compare and LRU-min scan must pick the same ways as
-    // the scalar loops for every access of the same random sequence —
-    // hits, victims, writebacks, and eviction addresses all agree.
-    // Sweep geometries where SIMD engages (assoc % 4 == 0) and one where
-    // it cannot (assoc 2, scalar both times).
-    for (const auto &[size, assoc] :
-         {std::pair<std::uint64_t, unsigned>{8192, 4},
-          std::pair<std::uint64_t, unsigned>{32768, 8},
-          std::pair<std::uint64_t, unsigned>{131072, 16},
-          std::pair<std::uint64_t, unsigned>{4096, 2}}) {
-        SetAssocCache simd("s", size, assoc);
-        SetAssocCache scalar("c", size, assoc);
+    // Victim choice on random streams, pinned to reference digests: the
+    // MRU hint, the filled-set shortcut and the first-minimum /
+    // lowest-index tie-breaks all decide which line each miss displaces,
+    // so any change to the way scan shows here.  Each access folds hit,
+    // evicted, writeback and victim_addr; the final counts close it.
+    struct Golden
+    {
+        std::uint64_t size;
+        unsigned assoc;
+        ReplPolicy policy;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {8192, 4, ReplPolicy::LRU, 0x6e1278f3593a0d7eULL},
+        {32768, 8, ReplPolicy::LRU, 0xd49b36c9e45cb028ULL},
+        {131072, 16, ReplPolicy::LRU, 0xbd155224e3313aceULL},
+        {4096, 2, ReplPolicy::LRU, 0xf9e66065477038d0ULL},
+        {32768, 8, ReplPolicy::FIFO, 0x298e7f477a5afc23ULL},
+        {131072, 32, ReplPolicy::LRU, 0x8ace378dac37fbcaULL},
+    };
+    for (const Golden &g : goldens) {
+        SetAssocCache c("g", g.size, g.assoc, 64, g.policy);
+        // FNV-1a over 64-bit words.
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        const auto add = [&h](std::uint64_t v) {
+            for (int b = 0; b < 8; ++b) {
+                h ^= (v >> (8 * b)) & 0xff;
+                h *= 0x100000001b3ULL;
+            }
+        };
         std::uint64_t x = 0x9e3779b97f4a7c15ULL;
         for (int i = 0; i < 30000; ++i) {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            const Addr a = (x % (size * 8)) & ~63ULL;
-            const bool write = (x & 2) != 0;
-            AccessResult rs, rc;
-            {
-                ScopedSimdProbes on(true);
-                rs = simd.access(a, write);
-            }
-            {
-                ScopedSimdProbes off(false);
-                rc = scalar.access(a, write);
-            }
-            ASSERT_EQ(rs.hit, rc.hit) << "assoc=" << assoc << " i=" << i;
-            ASSERT_EQ(rs.evicted, rc.evicted);
-            ASSERT_EQ(rs.writeback, rc.writeback);
-            ASSERT_EQ(rs.victim_addr, rc.victim_addr);
+            const Addr a = (x % (g.size * 8)) & ~63ULL;
+            const AccessResult r = c.access(a, (x & 2) != 0);
+            add(static_cast<std::uint64_t>(r.hit) |
+                static_cast<std::uint64_t>(r.evicted) << 1 |
+                static_cast<std::uint64_t>(r.writeback) << 2);
+            add(r.victim_addr);
         }
-        EXPECT_EQ(simd.hits(), scalar.hits()) << "assoc=" << assoc;
-        EXPECT_EQ(simd.misses(), scalar.misses());
-        EXPECT_EQ(simd.writebacks(), scalar.writebacks());
+        add(c.hits());
+        add(c.misses());
+        add(c.writebacks());
+        EXPECT_EQ(h, g.digest)
+            << "size=" << g.size << " assoc=" << g.assoc << " fifo="
+            << (g.policy == ReplPolicy::FIFO) << std::hex << " digest 0x"
+            << h;
     }
+}
+
+TEST(SetAssoc, RejectsGeometryWithZeroSets)
+{
+    // A 0-byte cache divides evenly by assoc*line but leaves no set to
+    // index; it must be refused as a configuration error, not reach the
+    // set-index modulo.
+    EXPECT_EXIT(SetAssocCache("t", 0, 4), ::testing::ExitedWithCode(1),
+                "zero sets");
 }
 
 TEST(Hierarchy, HitLevelsAndLatencies)
