@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/memo_table.hpp"
+#include "util/rng.hpp"
 
 using namespace rmcc::core;
 
@@ -166,6 +167,82 @@ TEST(MemoTable, FrequencyAgingHalvesAtEpoch)
     t.insertGroup(300);
     EXPECT_TRUE(t.inGroups(200));
     EXPECT_FALSE(t.inGroups(100));
+}
+
+TEST(MemoTable, GoldenOpDigests)
+{
+    // A seeded mix of every public operation, pinned to reference
+    // digests: LFU victim choice, shadow crediting, the MRU recent list,
+    // protected-insertion reselection, quarantine and every tie-break
+    // decide what each later call returns, so any change to them shows
+    // here.  Each return value is folded in; the final table contents
+    // and hit/miss counters close the digest.
+    struct Golden
+    {
+        unsigned groups;
+        unsigned group_size;
+        unsigned recent_values;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {16, 8, 16, 0x8166954f4458d0bdULL},
+        {32, 4, 0, 0x2a403771658b088eULL},
+    };
+    for (const Golden &g : goldens) {
+        MemoConfig cfg;
+        cfg.groups = g.groups;
+        cfg.group_size = g.group_size;
+        cfg.recent_values = g.recent_values;
+        MemoTable t(cfg);
+        // FNV-1a over 64-bit words.
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        const auto add = [&h](std::uint64_t v) {
+            for (int b = 0; b < 8; ++b) {
+                h ^= (v >> (8 * b)) & 0xff;
+                h *= 0x100000001b3ULL;
+            }
+        };
+        rmcc::util::Rng rng(0x5eed0001ULL);
+        // Mostly a hot range the table can cover, sometimes a cold one.
+        const auto value = [&rng] {
+            return rng.nextBelow(rng.nextBool(0.8) ? 256 : 4096);
+        };
+        for (int i = 0; i < 40000; ++i) {
+            const std::uint64_t op = rng.nextBelow(1000);
+            if (op < 600) {
+                add(static_cast<std::uint64_t>(t.lookupRead(value())));
+            } else if (op < 700) {
+                t.insertGroup(value());
+            } else if (op < 705) {
+                t.endOfEpoch();
+            } else if (op < 715) {
+                add(t.quarantineValue(value()));
+            } else if (op < 850) {
+                const auto n = t.nearestAbove(value());
+                add(n.has_value());
+                add(n.value_or(0));
+            } else if (op < 900) {
+                add(t.maxInTable());
+            } else {
+                add(t.contains(value()));
+            }
+        }
+        for (const rmcc::addr::CounterValue s : t.groupStarts())
+            add(s);
+        for (const rmcc::addr::CounterValue v : t.memoizedValues())
+            add(v);
+        add(t.groupHits());
+        add(t.recentHits());
+        add(t.misses());
+        // The mix must reach every hit kind it can, or the digest pins
+        // less than it claims.
+        EXPECT_GT(t.groupHits(), 0u);
+        EXPECT_EQ(t.recentHits() > 0, g.recent_values > 0);
+        EXPECT_EQ(h, g.digest)
+            << "groups=" << g.groups << " group_size=" << g.group_size
+            << " recent=" << g.recent_values << std::hex << " digest 0x"
+            << h;
+    }
 }
 
 /** Parameterized group-size sweep (Fig 21/22 ablation machinery). */
