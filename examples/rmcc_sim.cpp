@@ -11,11 +11,12 @@
  *   rmcc_sim --workload BFS --scheme sc64 --aes 22
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/experiments.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
 
 using namespace rmcc;
@@ -38,8 +39,10 @@ usage()
         "  --records N       trace length (default 800000 timing)\n"
         "  --warmup N        warm-up records (default records/2)\n"
         "  --aes NS          AES latency in ns (default 15)\n"
-        "  --budget F        RMCC overhead budget fraction (default 0.01)\n"
-        "  --group-size N    memoized group size (default 8)\n"
+        "  --budget F        RMCC overhead budget fraction in [0, 1]\n"
+        "                    (default 0.01)\n"
+        "  --group-size N    memoized group size, a divisor of 128\n"
+        "                    (default 8)\n"
         "  --counter-cache-kb N   counter cache size (default 128)\n"
         "  --pages P         huge (default) | small\n"
         "  --seed N          experiment seed (default 42)\n"
@@ -84,12 +87,28 @@ main(int argc, char **argv)
                 util::fatal("missing value for %s", a.c_str());
             return argv[++i];
         };
+        // Parse the option's value with one of util/env.hpp's strict
+        // parsers; a malformed value ends the run with a message naming
+        // the option.  Range checks follow each parse, so every bad
+        // value is refused before any trace is generated.
+        auto value = [&](auto parse) {
+            try {
+                return parse(a.c_str(), next());
+            } catch (const std::runtime_error &e) {
+                util::fatal("%s", e.what());
+            }
+        };
+        auto choice = [&](const std::vector<std::string> &choices) {
+            return value([&](const char *what, const char *text) {
+                return util::parseChoice(what, text, choices);
+            });
+        };
         if (a == "--workload") {
             workload = next();
         } else if (a == "--suite") {
             suite = true;
         } else if (a == "--mode") {
-            const std::string m = next();
+            const std::string m = choice({"timing", "functional"});
             const SystemConfig preset =
                 m == "functional" ? SystemConfig::functionalDefault()
                                   : SystemConfig::timingDefault();
@@ -111,30 +130,42 @@ main(int argc, char **argv)
         } else if (a == "--non-secure") {
             secure = false;
         } else if (a == "--records") {
-            cfg.trace_records =
-                static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+            cfg.trace_records = value(util::parseUnsigned);
+            if (cfg.trace_records == 0)
+                util::fatal("--records: expected at least 1, got 0");
         } else if (a == "--warmup") {
-            cfg.warmup_records =
-                static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+            cfg.warmup_records = value(util::parseUnsigned);
             warmup_set = true;
         } else if (a == "--aes") {
-            cfg.lat.aes_ns = std::strtod(next(), nullptr);
+            cfg.lat.aes_ns = value(util::parseDouble);
+            if (cfg.lat.aes_ns <= 0)
+                util::fatal("--aes: expected a latency above 0 ns, got %g",
+                            cfg.lat.aes_ns);
         } else if (a == "--budget") {
-            cfg.rmcc_cfg.budget.fraction = std::strtod(next(), nullptr);
+            cfg.rmcc_cfg.budget.fraction = value(util::parseDouble);
+            if (cfg.rmcc_cfg.budget.fraction > 1)
+                util::fatal("--budget: expected a fraction in [0, 1], got %g",
+                            cfg.rmcc_cfg.budget.fraction);
         } else if (a == "--group-size") {
-            const auto gs =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-            cfg.rmcc_cfg.memo.group_size = gs;
-            cfg.rmcc_cfg.memo.groups = 128 / (gs ? gs : 8);
+            // The table keeps 128 entries (Fig 9) in equal groups.
+            const std::uint64_t gs = value(util::parseUnsigned);
+            if (gs == 0 || gs > 128 || 128 % gs != 0)
+                util::fatal("--group-size: expected a divisor of 128 in "
+                            "[1, 128], got %llu",
+                            static_cast<unsigned long long>(gs));
+            cfg.rmcc_cfg.memo.group_size = static_cast<unsigned>(gs);
+            cfg.rmcc_cfg.memo.groups = static_cast<unsigned>(128 / gs);
         } else if (a == "--counter-cache-kb") {
-            cfg.counter_cache_bytes =
-                std::strtoull(next(), nullptr, 10) * 1024;
+            const std::uint64_t kb = value(util::parseUnsigned);
+            if (kb == 0)
+                util::fatal("--counter-cache-kb: expected at least 1, got 0");
+            cfg.counter_cache_bytes = kb * 1024;
         } else if (a == "--pages") {
-            cfg.page_mode = std::string(next()) == "small"
+            cfg.page_mode = choice({"huge", "small"}) == "small"
                                 ? addr::PageMode::Small4K
                                 : addr::PageMode::Huge2M;
         } else if (a == "--seed") {
-            cfg.seed = std::strtoull(next(), nullptr, 10);
+            cfg.seed = value(util::parseUnsigned);
         } else if (a == "--verbose") {
             verbose = true;
         } else if (a == "--help" || a == "-h") {
@@ -145,6 +176,10 @@ main(int argc, char **argv)
             util::fatal("unknown option %s", a.c_str());
         }
     }
+    if (warmup_set && cfg.warmup_records >= cfg.trace_records)
+        util::fatal("--warmup: expected fewer than the %zu trace records, "
+                    "got %zu",
+                    cfg.trace_records, cfg.warmup_records);
     cfg.secure = secure;
     cfg.rmcc = rmcc_on && secure;
     if (!warmup_set)

@@ -12,7 +12,6 @@ PageMapper::PageMapper(PageMode mode, std::uint64_t phys_bytes,
     : mode_(mode),
       page_size_(mode == PageMode::Huge2M ? kHugePageSize : kSmallPageSize),
       page_shift_(static_cast<unsigned>(std::countr_zero(page_size_))),
-      seed_(seed),
       rng_(seed)
 {
     phys_pages_ = phys_bytes / pageSize();
@@ -21,95 +20,8 @@ PageMapper::PageMapper(PageMode mode, std::uint64_t phys_bytes,
 }
 
 std::uint64_t
-PageMapper::arenaFramesFor(PageMode mode, std::uint64_t phys_bytes,
-                           std::uint64_t tenants)
+PageMapper::allocateFrame()
 {
-    const std::uint64_t page =
-        mode == PageMode::Huge2M ? kHugePageSize : kSmallPageSize;
-    const std::uint64_t pages = phys_bytes / page;
-    if (tenants < 2 || pages < tenants)
-        return 0;
-    // Power-of-two arenas: arena bytes are then a multiple of every
-    // counter-scheme coverage span (8/64/128 blocks), so no counter
-    // block or tree entity straddles an arena boundary.
-    const std::uint64_t frames = std::bit_floor(pages / tenants);
-    // 8 KB floor = the widest counter coverage (Morphable's 128 blocks);
-    // only the 4 KB mode can go below it.
-    return frames * page < 8192 ? 0 : frames;
-}
-
-void
-PageMapper::partitionByTenant(unsigned vaddr_tag_shift,
-                              std::uint64_t tenants)
-{
-    if (!table_.empty())
-        util::fatal("PageMapper: partitionByTenant after first touch");
-    if (tenants < 2)
-        util::fatal("PageMapper: partitioning needs >= 2 tenants");
-    if (vaddr_tag_shift < page_shift_)
-        util::fatal("PageMapper: tenant tag shift %u below page shift %u "
-                    "(tenants would share a page)",
-                    vaddr_tag_shift, page_shift_);
-    const std::uint64_t frames =
-        arenaFramesFor(mode_, phys_pages_ * page_size_, tenants);
-    if (frames == 0)
-        util::fatal("PageMapper: %llu tenants do not fit %llu frames "
-                    "(arena would shrink below the 8 KB coverage floor)",
-                    static_cast<unsigned long long>(tenants),
-                    static_cast<unsigned long long>(phys_pages_));
-    arena_frames_ = frames;
-    tenants_ = tenants;
-    tag_shift_ = vaddr_tag_shift;
-}
-
-std::uint64_t
-PageMapper::allocateArenaFrame(std::uint64_t tenant)
-{
-    if (tenant >= tenants_)
-        util::fatal("PageMapper: vaddr tagged for tenant %llu of %llu",
-                    static_cast<unsigned long long>(tenant),
-                    static_cast<unsigned long long>(tenants_));
-    Arena &a = arenas_[tenant];
-    std::uint64_t local;
-    if (mode_ == PageMode::Huge2M) {
-        local = a.next++;
-    } else {
-        // Per-tenant shuffle from a per-tenant seed: a tenant's frame
-        // placement depends only on its own first-touch order, not on
-        // how the mix interleaved the other tenants.
-        if (a.free.empty()) {
-            a.free.reserve(arena_frames_);
-            for (std::uint64_t f = 0; f < arena_frames_; ++f)
-                a.free.push_back(f);
-            util::Rng trng(seed_ + 0x9e3779b97f4a7c15ULL * (tenant + 1));
-            for (std::uint64_t i = arena_frames_ - 1; i > 0; --i) {
-                const auto j = trng.nextBelow(i + 1);
-                std::swap(a.free[i], a.free[j]);
-            }
-        }
-        if (a.next >= a.free.size())
-            util::fatal("PageMapper: tenant %llu arena exhausted "
-                        "(%llu frames)",
-                        static_cast<unsigned long long>(tenant),
-                        static_cast<unsigned long long>(arena_frames_));
-        local = a.free[a.next++];
-    }
-    if (local >= arena_frames_)
-        util::fatal("PageMapper: tenant %llu arena exhausted (%llu frames)",
-                    static_cast<unsigned long long>(tenant),
-                    static_cast<unsigned long long>(arena_frames_));
-    const std::uint64_t frame = tenant * arena_frames_ + local;
-    if (frame + 1 > peak_frame_end_)
-        peak_frame_end_ = frame + 1;
-    return frame;
-}
-
-std::uint64_t
-PageMapper::allocateFrame(std::uint64_t vpn)
-{
-    if (partitioned())
-        return allocateArenaFrame(vpn >> (tag_shift_ - page_shift_));
-
     std::uint64_t frame;
     if (mode_ == PageMode::Huge2M) {
         // Contiguous allocation: huge pages come from a bump pointer,
@@ -145,7 +57,7 @@ PageMapper::translate(Addr vaddr)
         return (last_frame_ << page_shift_) + (vaddr & (page_size_ - 1));
     auto it = table_.find(vpn);
     if (it == table_.end())
-        it = table_.emplace(vpn, allocateFrame(vpn)).first;
+        it = table_.emplace(vpn, allocateFrame()).first;
     last_vpn_ = vpn;
     last_frame_ = it->second;
     return (it->second << page_shift_) + (vaddr & (page_size_ - 1));

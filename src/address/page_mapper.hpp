@@ -45,41 +45,6 @@ class PageMapper
     /** Translate; allocates a frame on first touch of a page. */
     Addr translate(Addr vaddr);
 
-    /**
-     * Partition the physical frame pool into per-tenant arenas (strict
-     * tenant isolation).  Tagged virtual addresses carry their tenant id
-     * at bit `vaddr_tag_shift`; each tenant's pages then come from a
-     * private, power-of-two-sized frame arena, so no counter block or
-     * counter-tree entity at any level ever spans two tenants.  Must be
-     * called before the first translate(); fatal when `tenants` arenas
-     * do not fit in the physical region.
-     */
-    void partitionByTenant(unsigned vaddr_tag_shift, std::uint64_t tenants);
-
-    /**
-     * Frames per arena that partitionByTenant() would carve out of
-     * `phys_bytes` under `mode` for this many tenants; 0 when the arenas
-     * would not fit (fewer than two tenants, or below the 8 KB coverage
-     * floor).  The one place arena geometry is computed — callers that
-     * need the key-domain shift or occupancy ranges (tenancy layer)
-     * derive them from this instead of re-implementing the sizing rule.
-     */
-    static std::uint64_t arenaFramesFor(PageMode mode,
-                                        std::uint64_t phys_bytes,
-                                        std::uint64_t tenants);
-
-    /** Whether per-tenant arena partitioning is active. */
-    bool partitioned() const { return arena_frames_ != 0; }
-
-    /** Frames per tenant arena (0 when not partitioned). */
-    std::uint64_t arenaFrames() const { return arena_frames_; }
-
-    /** Bytes per tenant arena (0 when not partitioned). */
-    std::uint64_t arenaBytes() const
-    {
-        return arena_frames_ * page_size_;
-    }
-
     /** Page size in bytes for the current mode. */
     std::uint64_t pageSize() const { return page_size_; }
 
@@ -90,28 +55,15 @@ class PageMapper
     std::size_t allocatedPages() const { return table_.size(); }
 
     /** Highest physical address handed out plus one. */
-    Addr physFootprint() const
-    {
-        return (partitioned() ? peak_frame_end_ : next_frame_) *
-               pageSize();
-    }
+    Addr physFootprint() const { return next_frame_ * pageSize(); }
 
   private:
-    /** Per-tenant allocation state under partitioning. */
-    struct Arena
-    {
-        std::uint64_t next = 0;
-        std::vector<std::uint64_t> free; // shuffled, 4 KB mode only
-    };
-
-    std::uint64_t allocateFrame(std::uint64_t vpn);
-    std::uint64_t allocateArenaFrame(std::uint64_t tenant);
+    std::uint64_t allocateFrame();
 
     PageMode mode_;
     std::uint64_t page_size_;
     unsigned page_shift_;
     std::uint64_t phys_pages_;
-    std::uint64_t seed_;
     std::uint64_t next_frame_ = 0;
     //! One-entry translation cache: consecutive records overwhelmingly hit
     //! the same page, and the mapping of an allocated page never changes.
@@ -120,13 +72,6 @@ class PageMapper
     std::unordered_map<std::uint64_t, std::uint64_t> table_;
     std::vector<std::uint64_t> free_frames_; // shuffled, 4 KB mode only
     util::Rng rng_;
-
-    // Tenant partitioning (inactive by default).
-    std::uint64_t arena_frames_ = 0;
-    std::uint64_t tenants_ = 0;
-    unsigned tag_shift_ = 0;
-    std::uint64_t peak_frame_end_ = 0;
-    std::unordered_map<std::uint64_t, Arena> arenas_;
 };
 
 } // namespace rmcc::addr

@@ -178,22 +178,6 @@ SetAssocCache::probe(addr::Addr a) const
     return findWay(setIndex(a), tagOf(a)) >= 0;
 }
 
-std::uint64_t
-SetAssocCache::countValidIn(addr::Addr lo, addr::Addr hi) const
-{
-    if (lo >= hi)
-        return 0;
-    std::uint64_t n = 0;
-    for (const addr::Addr tag : tags_) {
-        if (tag == kInvalidTag)
-            continue;
-        const addr::Addr base =
-            line_pow2_ ? (tag << line_shift_) : (tag * line_);
-        n += (base >= lo && base < hi) ? 1u : 0u;
-    }
-    return n;
-}
-
 bool
 SetAssocCache::invalidate(addr::Addr a)
 {

@@ -94,14 +94,6 @@ class SetAssocCache
      */
     static bool simdProbesActive();
 
-    /**
-     * Number of valid lines whose base address lies in [lo, hi).  A full
-     * tag sweep, not a per-access operation: occupancy probes (per-tenant
-     * counter-cache residency) call it at reporting points only.  Pure —
-     * no recency, stat, or state change.
-     */
-    std::uint64_t countValidIn(addr::Addr lo, addr::Addr hi) const;
-
     /** Drop the line if present; returns true if it was dirty. */
     bool invalidate(addr::Addr a);
 

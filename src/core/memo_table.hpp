@@ -33,22 +33,6 @@ struct MemoConfig
     unsigned shadow_groups = 16; //!< Recently evicted groups tracked.
     unsigned recent_values = 16; //!< MRU evicted-group values memoized.
 
-    /**
-     * Tenant key/counter domains sharing this table.  1 (default) is the
-     * single-tenant paper configuration and is bit-identical to the
-     * pre-tenancy table; >1 tags every group with its owning domain and
-     * restricts lookups/updates to the active domain, so one tenant's
-     * counter values can never decrypt under another tenant's groups.
-     */
-    std::uint32_t domains = 1;
-
-    /**
-     * Per-domain cap on valid groups (0 = uncapped).  Only meaningful
-     * with domains > 1: a domain at its quota evicts its own LFU group
-     * instead of another tenant's, bounding hot-tenant table takeover.
-     */
-    unsigned quota_groups = 0;
-
     /** Total memoized value entries (128 in the paper). */
     unsigned entries() const { return groups * group_size; }
 };
@@ -70,20 +54,6 @@ class MemoTable
     explicit MemoTable(const MemoConfig &cfg = MemoConfig());
 
     const MemoConfig &config() const { return cfg_; }
-
-    /**
-     * Select the tenant domain subsequent calls operate in.  A no-op in
-     * the single-domain configuration (domain 0 is the only one); with
-     * domains > 1 the engine calls this before every table operation
-     * with the domain the touched counter entity belongs to.
-     */
-    void setActiveDomain(std::uint32_t d) { active_ = d; }
-
-    /** Domain subsequent operations act in. */
-    std::uint32_t activeDomain() const { return active_; }
-
-    /** Number of valid groups owned by one domain. */
-    unsigned validGroupsOf(std::uint32_t d) const;
 
     /**
      * Look up the counter value used to decrypt/verify a read; updates
@@ -173,32 +143,19 @@ class MemoTable
         addr::CounterValue start = 0;
         std::uint64_t freq = 0;
         bool valid = false;
-        std::uint32_t domain = 0;
     };
 
-    /** A counter value tagged with its owning domain. */
-    struct DomainValue
-    {
-        addr::CounterValue v = 0;
-        std::uint32_t domain = 0;
-        bool operator==(const DomainValue &o) const
-        {
-            return v == o.v && domain == o.domain;
-        }
-    };
-
-    /** Group (current) containing v in the active domain, or -1. */
+    /** Current group containing v, or -1. */
     int findGroup(addr::CounterValue v) const;
-    /** Shadow group containing v in the active domain, or -1. */
+    /** Shadow group containing v, or -1. */
     int findShadow(addr::CounterValue v) const;
 
     MemoConfig cfg_;
-    std::uint32_t active_ = 0;
     std::vector<Group> groups_;
     std::vector<Group> shadows_;
-    std::deque<DomainValue> recent_; // front = most recent
-    std::vector<DomainValue> quarantine_; // empty almost always
-    std::optional<DomainValue> protected_start_;
+    std::deque<addr::CounterValue> recent_; // front = most recent
+    std::vector<addr::CounterValue> quarantine_; // empty almost always
+    std::optional<addr::CounterValue> protected_start_;
     std::uint64_t group_hits_ = 0, recent_hits_ = 0, misses_ = 0;
 };
 

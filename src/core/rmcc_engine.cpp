@@ -41,8 +41,6 @@ RmccEngine::onReadCounterUse(unsigned level, std::uint64_t idx)
         return out;
 
     LevelState &st = *levels_[level];
-    if (domain_resolver_)
-        st.table->setActiveDomain(domain_resolver_(level, idx));
     ctr::CounterScheme &scheme = tree_.level(level);
     const addr::CounterValue v = scheme.read(idx);
 
@@ -76,9 +74,6 @@ RmccEngine::onWriteCounter(unsigned level, std::uint64_t idx)
 {
     ctr::CounterScheme &scheme = tree_.level(level);
     if (cfg_.enabled && level < levels_.size()) {
-        if (domain_resolver_)
-            levels_[level]->table->setActiveDomain(
-                domain_resolver_(level, idx));
         return levels_[level]->policy->onWrite(scheme, idx);
     }
 

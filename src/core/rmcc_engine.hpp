@@ -12,7 +12,6 @@
 #ifndef RMCC_CORE_RMCC_ENGINE_HPP
 #define RMCC_CORE_RMCC_ENGINE_HPP
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -128,21 +127,6 @@ class RmccEngine
     bool quarantineMemoValue(unsigned level, addr::CounterValue v);
 
     /**
-     * Tenant-domain resolver: maps a (level, entity idx) pair to the
-     * memo-table domain it belongs to.  When set (tenancy with strict
-     * isolation), the engine selects that domain on each table before
-     * every lookup/insert/update, so memoized counter values never cross
-     * tenant boundaries.  Unset (default) leaves the tables in the
-     * single-domain configuration — bit-identical to pre-tenancy runs.
-     */
-    using DomainResolver =
-        std::function<std::uint32_t(unsigned level, std::uint64_t idx)>;
-    void setDomainResolver(DomainResolver resolver)
-    {
-        domain_resolver_ = std::move(resolver);
-    }
-
-    /**
      * Set every level's budget pool — used by the lifetime-warmup
      * (precondition) phase, which emulates the budget accrued and spent
      * over the unsimulated earlier lifetime, then drains to zero so the
@@ -174,7 +158,6 @@ class RmccEngine
     RmccConfig cfg_;
     ctr::IntegrityTree &tree_;
     std::vector<std::unique_ptr<LevelState>> levels_;
-    DomainResolver domain_resolver_; //!< Null outside tenancy mode.
 };
 
 } // namespace rmcc::core

@@ -193,13 +193,6 @@ std::string schemeKindName(SchemeKind kind);
 /** L0 counter-block coverage of a scheme kind (8 / 64 / 128). */
 unsigned schemeCoverage(SchemeKind kind);
 
-/**
- * Widest L0 coverage across all schemes (Morphable's 128 blocks = 8 KB).
- * Tenant arena sizing aligns to this so no counter block of any scheme
- * can span two tenants' physical frames.
- */
-inline constexpr unsigned kMaxSchemeCoverage = 128;
-
 } // namespace rmcc::ctr
 
 #endif // RMCC_COUNTERS_SCHEME_HPP

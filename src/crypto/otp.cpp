@@ -26,32 +26,7 @@ baselineInput(std::uint64_t mu, std::uint64_t address, unsigned word,
     return makeBlock(hi, lo);
 }
 
-/** SplitMix64 finalizer: full-avalanche mix of one 64-bit word. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 } // namespace
-
-DomainKeys
-deriveDomainKeys(std::uint64_t master_seed, std::uint64_t domain)
-{
-    // Two independent avalanche chains per domain, one per schedule.  The
-    // purpose constants keep enc/mac seeds unrelated, and the leading
-    // mix64 of the tagged domain means even domain 0 derives seeds far
-    // from master_seed itself — the platform schedules fromSeed(seed) /
-    // fromSeed(seed + 0x9e3779b9) are never aliased by any domain.
-    const std::uint64_t enc_seed =
-        mix64(master_seed ^ mix64(domain ^ 0x656e63ULL)); // "enc"
-    const std::uint64_t mac_seed =
-        mix64(master_seed ^ mix64(domain ^ 0x6d6163ULL)); // "mac"
-    return DomainKeys{Aes::fromSeed(enc_seed), Aes::fromSeed(mac_seed)};
-}
 
 std::array<Block128, 4>
 OtpEngine::encryptionOtps(std::uint64_t address, std::uint64_t counter) const

@@ -138,27 +138,6 @@ class RmccOtpEngine : public OtpEngine
 };
 
 /**
- * One tenant key domain's AES schedules: independent encryption and MAC
- * keys derived from a platform master seed and the domain id.
- */
-struct DomainKeys
-{
-    Aes enc;
-    Aes mac;
-};
-
-/**
- * Derive a tenant domain's key pair from a platform master seed.
- * SplitMix-style mixing of (seed, domain) feeds Aes::fromSeed, so equal
- * (seed, domain) pairs always derive the same schedules and distinct
- * domains get unrelated keys.  Domain 0 is deliberately distinct from
- * the undomained fromSeed(seed) schedules: a derived domain never
- * aliases the platform keys protecting the counter tree.
- */
-DomainKeys deriveDomainKeys(std::uint64_t master_seed,
-                            std::uint64_t domain);
-
-/**
  * Encrypt/decrypt whole 64 B blocks with any OTP engine.  XOR with the OTP
  * is an involution, so encode() serves both directions.
  */

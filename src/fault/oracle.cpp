@@ -116,30 +116,8 @@ std::uint64_t
 DetectionOracle::dataMac(addr::BlockId blk, const crypto::DataBlock &ct,
                          addr::CounterValue ctr) const
 {
-    return mac_.mac(ct, dataEngine(blk).macOtp(addr::blockBase(blk),
-                                               ctr & crypto::kCounterMask));
-}
-
-const crypto::OtpEngine &
-DetectionOracle::dataEngine(addr::BlockId blk) const
-{
-    if (cfg_.key_domain_shift == 0)
-        return *otp_;
-    const std::uint64_t domain = blk >> cfg_.key_domain_shift;
-    auto it = domain_otp_.find(domain);
-    if (it == domain_otp_.end()) {
-        const crypto::DomainKeys keys =
-            crypto::deriveDomainKeys(cfg_.key_seed, domain);
-        std::unique_ptr<crypto::OtpEngine> eng;
-        if (cfg_.split_otp)
-            eng = std::make_unique<crypto::RmccOtpEngine>(keys.enc,
-                                                          keys.mac);
-        else
-            eng = std::make_unique<crypto::BaselineOtpEngine>(keys.enc,
-                                                              keys.mac);
-        it = domain_otp_.emplace(domain, std::move(eng)).first;
-    }
-    return *it->second;
+    return mac_.mac(ct, otp_->macOtp(addr::blockBase(blk),
+                                     ctr & crypto::kCounterMask));
 }
 
 std::vector<addr::CounterBlockId>
@@ -201,7 +179,7 @@ DetectionOracle::refreshData(addr::BlockId blk, bool force)
     StoredData fresh;
     fresh.ctr = ctr;
     fresh.version = e.truth_version;
-    const crypto::BlockCodec codec(dataEngine(blk));
+    const crypto::BlockCodec codec(*otp_);
     fresh.ct =
         codec.encode(plaintext(blk, e.truth_version), addr::blockBase(blk),
                      ctr);
@@ -364,9 +342,9 @@ DetectionOracle::verifyRead(addr::BlockId blk, bool memo_hit)
 
     // Every MAC OTP the chain walk below needs is determined by the
     // refreshed stored state, so all of them are computed up front: one
-    // per tree level on the platform keys plus the data block's on its
-    // key domain.  A read then costs the same crypto ops whether or not
-    // its verification fails part way down the chain.
+    // per tree level plus the data block's.  A read then costs the same
+    // crypto ops whether or not its verification fails part way down the
+    // chain.
     std::vector<crypto::Block128> otps(levels + 1);
     for (unsigned ku = 0; ku < levels; ++ku) {
         addr::CounterValue parent_used;
@@ -392,8 +370,8 @@ DetectionOracle::verifyRead(addr::BlockId blk, bool memo_hit)
         slot0 < n0.cur.values.size() ? n0.cur.values[slot0] : 0;
     if (memo_fault_ && memo_hit && ctr_used == memo_fault_->first)
         ctr_used = memo_fault_->second;
-    otps[levels] = dataEngine(blk).macOtp(addr::blockBase(blk),
-                                          ctr_used & crypto::kCounterMask);
+    otps[levels] = otp_->macOtp(addr::blockBase(blk),
+                                ctr_used & crypto::kCounterMask);
 
     // MAC chain, trust anchor downward: every node's tag is recomputed
     // over its *stored* values under the value its *stored* parent holds
@@ -420,7 +398,7 @@ DetectionOracle::verifyRead(addr::BlockId blk, bool memo_hit)
         v.fail_level = -1;
         return v;
     }
-    const crypto::BlockCodec codec(dataEngine(blk));
+    const crypto::BlockCodec codec(*otp_);
     const crypto::DataBlock pt =
         codec.encode(de.cur.ct, addr::blockBase(blk),
                      ctr_used & crypto::kCounterMask);

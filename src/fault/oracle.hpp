@@ -59,15 +59,6 @@ struct OracleConfig
     bool split_otp = true; //!< RMCC split OTP; false = SGX baseline OTP.
     unsigned mac_bits = 56; //!< Compared MAC width; < 56 weakens on purpose.
     std::uint64_t key_seed = 0xfa177; //!< Derives AES and MAC keys.
-    /**
-     * Tenant key domains: when nonzero, the data plane of block blk uses
-     * AES schedules derived for domain (blk >> key_domain_shift) instead
-     * of the platform keys (crypto::deriveDomainKeys).  Node MACs along
-     * the counter tree always stay on the platform keys — the tree is a
-     * shared platform structure.  0 = single key domain (bit-identical
-     * to the pre-tenancy oracle).
-     */
-    unsigned key_domain_shift = 0;
 };
 
 /** Outcome of re-deriving the verdict of one read. */
@@ -263,13 +254,6 @@ class DetectionOracle : public mc::McObserver
     std::uint64_t dataMac(addr::BlockId blk, const crypto::DataBlock &ct,
                           addr::CounterValue ctr) const;
 
-    /**
-     * Data-plane OTP engine for blk's key domain.  The base engine when
-     * key_domain_shift is 0; otherwise a lazily built per-domain engine
-     * whose keys come from deriveDomainKeys(key_seed, domain).
-     */
-    const crypto::OtpEngine &dataEngine(addr::BlockId blk) const;
-
     /** Counter blocks on blk's path, bottom-up (size = tree levels). */
     std::vector<addr::CounterBlockId> pathOf(addr::BlockId blk) const;
 
@@ -297,11 +281,6 @@ class DetectionOracle : public mc::McObserver
     OracleConfig cfg_;
     ctr::IntegrityTree &tree_;
     std::unique_ptr<crypto::OtpEngine> otp_;
-    //! Per-tenant data-plane engines, keyed by blk >> key_domain_shift;
-    //! built on first touch (mutable: const MAC/verify paths populate it).
-    mutable std::unordered_map<std::uint64_t,
-                               std::unique_ptr<crypto::OtpEngine>>
-        domain_otp_;
     crypto::MacEngine mac_;
     std::uint64_t mac_compare_mask_;
 

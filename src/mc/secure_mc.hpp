@@ -170,23 +170,6 @@ class SecureMc
     const OverflowEngine &overflowEngine() const { return ovf_; }
 
     /**
-     * Counter-cache lines currently holding level-`level` counter blocks
-     * in [first_cb, first_cb + n_cb).  The per-tenant occupancy view: a
-     * tenant's L0 counter blocks form one contiguous id range under arena
-     * partitioning.  Full tag sweep; reporting-point use only.
-     */
-    std::uint64_t counterLinesResident(unsigned level,
-                                       addr::CounterBlockId first_cb,
-                                       std::uint64_t n_cb) const
-    {
-        if (level >= tree_.levels() || n_cb == 0)
-            return 0;
-        const addr::Addr lo =
-            meta_[level].base + (first_cb << addr::kBlockShift);
-        return ctr_cache_.countValidIn(lo, lo + (n_cb << addr::kBlockShift));
-    }
-
-    /**
      * Attach (or detach, with nullptr) a data-plane observer.  Only
      * meaningful on secure systems; the observer must outlive its
      * attachment.

@@ -18,7 +18,7 @@ runFunctional(const std::string &workload_name,
 SimResult
 runFunctional(const std::string &workload_name,
               const trace::TraceSource &trace, const SystemConfig &cfg,
-              fault::FaultCampaign *campaign, ReplayObserver *replay)
+              fault::FaultCampaign *campaign)
 {
     detail::SimRig rig(cfg);
     detail::preconditionRmcc(rig, cfg, trace);
@@ -94,16 +94,12 @@ runFunctional(const std::string &workload_name,
                 rig.hier.access(paddr, rec.is_write);
             if (h.llc_miss) {
                 side.inc(h_llc_miss);
-                const mc::McReadResult r = rig.mc.read(paddr, fake_now);
-                if (replay != nullptr)
-                    replay->onRead(rec.vaddr, r, r.done_ns - fake_now);
+                rig.mc.read(paddr, fake_now);
                 fake_now += 20.0;
             }
             if (h.memory_writeback) {
                 side.inc(h_llc_wb);
                 rig.mc.write(*h.memory_writeback, fake_now);
-                if (replay != nullptr)
-                    replay->onWrite(rec.vaddr);
                 fake_now += 20.0;
             }
             if (campaign != nullptr && cfg.secure)
@@ -115,8 +111,6 @@ runFunctional(const std::string &workload_name,
     }
     if (campaign != nullptr && cfg.secure)
         rig.mc.attachObserver(nullptr);
-    if (replay != nullptr)
-        replay->onFinish(rig.mc, rig.tree);
     if (obs) {
         rig.mc.attachObs(nullptr);
         obs->finish();

@@ -32,52 +32,17 @@ SimResult runFunctional(const std::string &workload_name,
                         const SystemConfig &cfg);
 
 /**
- * Per-record replay observer: sees every LLC-miss read (with the
- * controller's outcome and its latency) and every memory writeback,
- * keyed by the *virtual* address of the causing trace record — the only
- * layer that still knows which tenant issued the access.  Implemented by
- * tenancy::TenantAccountant; attaching nothing costs one branch per
- * memory-side event.  Hooks must not mutate simulated state.
- */
-class ReplayObserver
-{
-  public:
-    virtual ~ReplayObserver() = default;
-
-    /** LLC-miss read served by the controller. */
-    virtual void onRead(addr::Addr vaddr, const mc::McReadResult &res,
-                        double latency_ns) = 0;
-
-    /**
-     * LLC writeback reaching the controller, attributed to the record
-     * whose access displaced the victim line (the victim's own tenant is
-     * unknowable here — the cache model returns physical addresses).
-     */
-    virtual void onWrite(addr::Addr vaddr) = 0;
-
-    /** End of replay: snapshot whole-system state (occupancy views). */
-    virtual void onFinish(const mc::SecureMc &mc,
-                          const ctr::IntegrityTree &tree)
-    {
-        (void)mc;
-        (void)tree;
-    }
-};
-
-/**
  * Same, with a fault campaign riding along: the campaign's detection
  * oracle observes the secure controller's data plane (verifying every
  * read against its crypto-functional shadow) and the campaign injects
  * and classifies faults as the trace advances.  Requires cfg.secure;
  * the campaign must be fresh (its tree is the one being driven) and
- * outlive the call.  Pass nullptr for a plain run.  `replay`, when
- * non-null, receives every memory-side event (see ReplayObserver).
+ * outlive the call.  Pass nullptr for a plain run.
  */
 SimResult runFunctional(const std::string &workload_name,
                         const trace::TraceSource &trace,
                         const SystemConfig &cfg,
-                        fault::FaultCampaign *campaign,
-                        ReplayObserver *replay = nullptr);
+                        fault::FaultCampaign *campaign);
 
 } // namespace rmcc::sim
 

@@ -35,14 +35,6 @@ effectiveRmccConfig(const SystemConfig &cfg)
     rc.budget.epoch_accesses = std::max<std::uint64_t>(
         50000, std::min<std::uint64_t>(rc.budget.epoch_accesses,
                                        cfg.trace_records / 8));
-    // Strict multi-tenancy: memo-table groups carry the owning tenant's
-    // domain tag, so one tenant's reads can never hit (or evict under a
-    // quota) another tenant's memoized counter values.
-    if (cfg.secure && cfg.tenancy.strict && cfg.tenancy.tenants > 1) {
-        rc.memo.domains = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(cfg.tenancy.tenants, 0xffffffffULL));
-        rc.memo.quota_groups = cfg.tenancy.memo_quota;
-    }
     return rc;
 }
 
@@ -77,26 +69,6 @@ struct SimRig
         // caller contract and must abort loudly (same policy as the
         // other strict RMCC_* vars).
         crypto::hwAesActive();
-        if (cfg.secure && cfg.tenancy.strict && cfg.tenancy.tenants > 1) {
-            // Strict isolation: per-tenant physical arenas (before any
-            // first touch), and a domain resolver translating a memo
-            // consultation's (level, entity) into the owning tenant.
-            // Arena sizes are powers of two and at least the widest
-            // counter coverage, so entity -> tenant is a pure divide at
-            // every tree level.
-            mapper.partitionByTenant(cfg.tenancy.tag_shift,
-                                     cfg.tenancy.tenants);
-            const std::uint64_t arena_blocks =
-                mapper.arenaBytes() / addr::kBlockSize;
-            engine.setDomainResolver(
-                [&t = tree, arena_blocks](unsigned level,
-                                          std::uint64_t idx) {
-                    std::uint64_t blk = idx;
-                    for (unsigned k = 0; k < level; ++k)
-                        blk *= t.level(k).coverage();
-                    return static_cast<std::uint32_t>(blk / arena_blocks);
-                });
-        }
         util::Rng rng(cfg.seed ^ 0xc0c0);
         if (cfg.secure)
             tree.randomInit(rng, cfg.counter_init_mean);

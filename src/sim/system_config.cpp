@@ -60,16 +60,6 @@ SystemConfig::describe() const
     out << "Mapping Function: XOR-based (Skylake-like)\n";
     out << "Bank-level scheduling policy: FR-FCFS-Capped (cap "
         << dram.frfcfs_cap << ")\n";
-    // Single-tenant runs keep the exact pre-tenancy table (describe()
-    // feeds cell names, so an extra row would change every cell hash).
-    if (tenancy.tenants > 1) {
-        out << "Tenants: " << tenancy.tenants << ", "
-            << (tenancy.strict ? "strict" : "shared")
-            << " isolation, vaddr tag shift " << tenancy.tag_shift << "\n";
-        if (tenancy.memo_quota != 0)
-            out << "Per-tenant memo quota: " << tenancy.memo_quota
-                << " groups\n";
-    }
     return out.str();
 }
 

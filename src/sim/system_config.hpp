@@ -28,24 +28,6 @@ enum class SimMode
     Functional, //!< Pintool-like: hit rates/traffic across lifetimes.
 };
 
-/**
- * Multi-tenant shape of a run.  Inert at the default (tenants == 1):
- * nothing in the rig changes and every emitted number is bit-identical
- * to the single-tenant simulator.  With tenants > 1 the trace is expected
- * to carry tenant-tagged virtual addresses (tenant id at bit tag_shift,
- * see tenancy::TenantAddressMap), and under strict isolation the rig
- * partitions physical frames into per-tenant arenas, tags memo-table
- * groups with the owning tenant's domain, and (in the oracle) derives
- * per-tenant data-plane keys.
- */
-struct TenancyShape
-{
-    std::uint64_t tenants = 1;  //!< 1 = single tenant (inert default).
-    unsigned tag_shift = 0;     //!< Tenant-id bit position in vaddrs.
-    bool strict = true;         //!< Strict isolation (arenas + domains).
-    unsigned memo_quota = 0;    //!< Per-tenant memo-group cap (0 = off).
-};
-
 /** Everything needed to run one experiment on one workload. */
 struct SystemConfig
 {
@@ -93,9 +75,6 @@ struct SystemConfig
     double precondition_budget_fraction = 3.0;
     addr::CounterValue counter_init_mean = 100000;   //!< Random-init mean.
     std::uint64_t seed = 42;
-
-    // --- multi-tenant shape (inert at the default) ----------------------
-    TenancyShape tenancy;
 
     /** gem5-like preset (Table I). */
     static SystemConfig timingDefault();

@@ -22,24 +22,62 @@ rejectValue(const char *name, const char *value, const char *why)
 
 } // namespace
 
+std::uint64_t
+parseUnsigned(const char *what, const char *text)
+{
+    // Reject signs and whitespace up front: strtoull would accept "-2"
+    // by wrapping it to a huge unsigned value.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        rejectValue(what, text, "a non-negative integer");
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (end == text || *end != '\0')
+        rejectValue(what, text, "a non-negative integer");
+    if (errno == ERANGE)
+        rejectValue(what, text, "an integer within 64 bits");
+    return static_cast<std::uint64_t>(v);
+}
+
+double
+parseDouble(const char *what, const char *text)
+{
+    // Reject signs, whitespace, and the inf/nan spellings up front:
+    // strtod accepts all of them, and none make sense for a setting.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) &&
+        text[0] != '.')
+        rejectValue(what, text, "a non-negative number");
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0')
+        rejectValue(what, text, "a non-negative number");
+    if (errno == ERANGE || !std::isfinite(v))
+        rejectValue(what, text, "a finite number");
+    return v;
+}
+
+std::string
+parseChoice(const char *what, const char *text,
+            const std::vector<std::string> &choices)
+{
+    for (const std::string &c : choices)
+        if (c == text)
+            return c;
+    std::string expected = "one of {";
+    for (std::size_t i = 0; i < choices.size(); ++i)
+        expected += (i ? ", " : "") + choices[i];
+    expected += "}";
+    rejectValue(what, text, expected.c_str());
+}
+
 std::optional<std::uint64_t>
 envUnsigned(const char *name)
 {
     const char *value = std::getenv(name);
     if (!value || value[0] == '\0')
         return std::nullopt;
-    // Reject signs and whitespace up front: strtoull would accept "-2"
-    // by wrapping it to a huge unsigned value.
-    if (!std::isdigit(static_cast<unsigned char>(value[0])))
-        rejectValue(name, value, "a non-negative integer");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0')
-        rejectValue(name, value, "a non-negative integer");
-    if (errno == ERANGE)
-        rejectValue(name, value, "an integer within 64 bits");
-    return static_cast<std::uint64_t>(v);
+    return parseUnsigned(name, value);
 }
 
 std::uint64_t
@@ -52,40 +90,9 @@ std::optional<std::uint64_t>
 envPositive(const char *name)
 {
     const std::optional<std::uint64_t> v = envUnsigned(name);
-    if (v && *v == 0) {
-        const char *raw = std::getenv(name);
-        throw std::runtime_error(std::string(name) +
-                                 ": expected a positive integer, got \"" +
-                                 (raw ? raw : "") + "\"");
-    }
+    if (v && *v == 0)
+        rejectValue(name, std::getenv(name), "a positive integer");
     return v;
-}
-
-std::optional<double>
-envDouble(const char *name)
-{
-    const char *value = std::getenv(name);
-    if (!value || value[0] == '\0')
-        return std::nullopt;
-    // Reject signs, whitespace, and the inf/nan spellings up front:
-    // strtod accepts all of them, and none make sense for a knob.
-    if (!std::isdigit(static_cast<unsigned char>(value[0])) &&
-        value[0] != '.')
-        rejectValue(name, value, "a non-negative number");
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (end == value || *end != '\0')
-        rejectValue(name, value, "a non-negative number");
-    if (errno == ERANGE || !std::isfinite(v))
-        rejectValue(name, value, "a finite number");
-    return v;
-}
-
-double
-envDoubleOr(const char *name, double fallback)
-{
-    return envDouble(name).value_or(fallback);
 }
 
 std::string
@@ -95,14 +102,7 @@ envChoice(const char *name, const std::vector<std::string> &choices,
     const char *value = std::getenv(name);
     if (!value || value[0] == '\0')
         return fallback;
-    for (const std::string &c : choices)
-        if (c == value)
-            return c;
-    std::string expected = "one of {";
-    for (std::size_t i = 0; i < choices.size(); ++i)
-        expected += (i ? ", " : "") + choices[i];
-    expected += "}";
-    rejectValue(name, value, expected.c_str());
+    return parseChoice(name, value, choices);
 }
 
 std::optional<std::string>

@@ -6,7 +6,9 @@
  * silently when set to garbage, which turns a typo into an hours-long
  * surprise (a suite quietly running single-threaded, retries quietly
  * disabled).  These helpers reject malformed values loudly instead: a
- * std::runtime_error naming the variable and the offending text.
+ * std::runtime_error naming the variable and the offending text.  The
+ * parse* functions are the same strict parsers over a plain string, so
+ * command-line options share them.
  */
 #ifndef RMCC_UTIL_ENV_HPP
 #define RMCC_UTIL_ENV_HPP
@@ -18,6 +20,34 @@
 
 namespace rmcc::util
 {
+
+/**
+ * Parse a plain non-negative decimal integer.
+ *
+ * @param what name of the setting (variable or option) for the message.
+ * @throws std::runtime_error when @p text is empty or not a plain
+ *         non-negative decimal integer (trailing junk, sign, overflow,
+ *         "banana", ...); the message names @p what and quotes the text.
+ */
+std::uint64_t parseUnsigned(const char *what, const char *text);
+
+/**
+ * Parse a plain finite non-negative decimal number.
+ *
+ * @throws std::runtime_error when @p text is empty or not such a number
+ *         ("banana", "-1.5", "inf", trailing junk); the message names
+ *         @p what and quotes the text.
+ */
+double parseDouble(const char *what, const char *text);
+
+/**
+ * Match @p text exactly (case-sensitive) against a list of spellings.
+ *
+ * @throws std::runtime_error when it matches none; the message names
+ *         @p what, quotes the text, and lists the accepted spellings.
+ */
+std::string parseChoice(const char *what, const char *text,
+                        const std::vector<std::string> &choices);
 
 /**
  * Value of an integer environment variable.
@@ -42,26 +72,12 @@ std::uint64_t envUnsignedOr(const char *name, std::uint64_t fallback);
 std::optional<std::uint64_t> envPositive(const char *name);
 
 /**
- * Value of a floating-point environment variable (e.g. RMCC_TENANT_SKEW).
- *
- * @return nullopt when the variable is unset or empty.
- * @throws std::runtime_error when the value is not a plain finite
- *         non-negative decimal number ("banana", "-1.5", "inf", trailing
- *         junk); the message names the variable and quotes the value.
- */
-std::optional<double> envDouble(const char *name);
-
-/** envDouble() with a fallback for the unset/empty case. */
-double envDoubleOr(const char *name, double fallback);
-
-/**
  * Value of an enumerated environment variable (e.g. RMCC_CRYPTO_IMPL).
  *
  * @return fallback when the variable is unset or empty, otherwise the
  *         matching choice.
- * @throws std::runtime_error when the value matches none of the choices;
- *         the message names the variable, quotes the value, and lists the
- *         accepted spellings.  Matching is exact (case-sensitive).
+ * @throws std::runtime_error when the value matches none of the choices
+ *         (see parseChoice()).
  */
 std::string envChoice(const char *name,
                       const std::vector<std::string> &choices,

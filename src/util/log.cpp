@@ -89,19 +89,6 @@ logTimestamp(char *buf, std::size_t n)
                   tm.tm_sec, static_cast<int>(ms));
 }
 
-const char *
-levelTag(LogLevel lvl)
-{
-    switch (lvl) {
-    case LogLevel::Debug: return "debug";
-    case LogLevel::Info: return "info";
-    case LogLevel::Warn: return "warn";
-    case LogLevel::Error: return "error";
-    case LogLevel::Silent: break;
-    }
-    return "?";
-}
-
 } // namespace detail
 
 } // namespace rmcc::util

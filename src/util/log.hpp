@@ -69,20 +69,20 @@ namespace detail
 /** Fill buf with the current wall-clock time as HH:MM:SS.mmm. */
 void logTimestamp(char *buf, std::size_t n);
 
-/** Severity tag as printed ("debug", "info", "warn", "error"). */
-const char *levelTag(LogLevel lvl);
-
+/**
+ * Print one "[HH:MM:SS.mmm] tag: message" line to stderr in a single
+ * fprintf.  `tag` is the severity as printed ("warn", "fatal", ...).
+ */
 template <typename... Args>
 void
-logLine(LogLevel lvl, const char *fmt, Args &&...args)
+logLine(const char *tag, const char *fmt, Args &&...args)
 {
     char line[1024];
     int off = 0;
     {
         char ts[32];
         logTimestamp(ts, sizeof ts);
-        off = std::snprintf(line, sizeof line, "[%s] %s: ", ts,
-                            levelTag(lvl));
+        off = std::snprintf(line, sizeof line, "[%s] %s: ", ts, tag);
     }
     if (off < 0)
         off = 0;
@@ -102,8 +102,7 @@ void
 logDebug(const char *fmt, Args &&...args)
 {
     if (logEnabled(LogLevel::Debug))
-        detail::logLine(LogLevel::Debug, fmt,
-                        std::forward<Args>(args)...);
+        detail::logLine("debug", fmt, std::forward<Args>(args)...);
 }
 
 /** Progress/status line (default-visible). */
@@ -112,7 +111,7 @@ void
 logInfo(const char *fmt, Args &&...args)
 {
     if (logEnabled(LogLevel::Info))
-        detail::logLine(LogLevel::Info, fmt, std::forward<Args>(args)...);
+        detail::logLine("info", fmt, std::forward<Args>(args)...);
 }
 
 /** Non-fatal warning. */
@@ -121,7 +120,7 @@ void
 warn(const char *fmt, Args &&...args)
 {
     if (logEnabled(LogLevel::Warn))
-        detail::logLine(LogLevel::Warn, fmt, std::forward<Args>(args)...);
+        detail::logLine("warn", fmt, std::forward<Args>(args)...);
 }
 
 /** A failed operation the process survives. */
@@ -130,8 +129,7 @@ void
 logError(const char *fmt, Args &&...args)
 {
     if (logEnabled(LogLevel::Error))
-        detail::logLine(LogLevel::Error, fmt,
-                        std::forward<Args>(args)...);
+        detail::logLine("error", fmt, std::forward<Args>(args)...);
 }
 
 /** Terminate with exit(1) after printing a user-error message. */
@@ -139,12 +137,7 @@ template <typename... Args>
 [[noreturn]] void
 fatal(const char *fmt, Args &&...args)
 {
-    std::fprintf(stderr, "fatal: ");
-    if constexpr (sizeof...(Args) == 0)
-        std::fprintf(stderr, "%s", fmt);
-    else
-        std::fprintf(stderr, fmt, std::forward<Args>(args)...);
-    std::fprintf(stderr, "\n");
+    detail::logLine("fatal", fmt, std::forward<Args>(args)...);
     std::exit(1);
 }
 
@@ -153,12 +146,7 @@ template <typename... Args>
 [[noreturn]] void
 panic(const char *fmt, Args &&...args)
 {
-    std::fprintf(stderr, "panic: ");
-    if constexpr (sizeof...(Args) == 0)
-        std::fprintf(stderr, "%s", fmt);
-    else
-        std::fprintf(stderr, fmt, std::forward<Args>(args)...);
-    std::fprintf(stderr, "\n");
+    detail::logLine("panic", fmt, std::forward<Args>(args)...);
     std::abort();
 }
 

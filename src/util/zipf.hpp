@@ -1,7 +1,7 @@
 /**
  * @file
- * Precomputed-CDF Zipf sampler, shared by workload generation, fault
- * storms, and the tenancy traffic mixer.
+ * Precomputed-CDF Zipf sampler, shared by workload generation and fault
+ * storms.
  *
  * The sampler is a standalone object so hot loops build the CDF once and
  * draw millions of ranks.

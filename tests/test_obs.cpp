@@ -822,3 +822,16 @@ TEST(LogLevel, EnvControlsFiltering)
     EXPECT_FALSE(util::logEnabled(util::LogLevel::Debug));
     EXPECT_TRUE(util::logEnabled(util::LogLevel::Warn));
 }
+
+TEST(LogLevel, FatalAndPanicLinesAreTimestamped)
+{
+    // log.hpp promises every line a timestamp and severity tag, printed
+    // in one write; fatal() and panic() keep that promise too.
+    EXPECT_EXIT(util::fatal("bad option %s", "--x"),
+                ::testing::ExitedWithCode(1),
+                "^\\[[0-9]{2}:[0-9]{2}:[0-9]{2}\\.[0-9]{3}\\] fatal: "
+                "bad option --x\n$");
+    EXPECT_DEATH(util::panic("broken invariant %d", 7),
+                 "^\\[[0-9]{2}:[0-9]{2}:[0-9]{2}\\.[0-9]{3}\\] panic: "
+                 "broken invariant 7\n$");
+}

@@ -465,8 +465,8 @@ TEST(Table, Formatters)
 TEST(Zipf, DeterministicForEqualSeeds)
 {
     // The sampler is pure (the Rng carries all the state): equal seeds
-    // must give identical rank streams — the property the tenant mixer's
-    // reproducibility rests on.
+    // must give identical rank streams — the property graph construction
+    // and fault-storm reproducibility rest on.
     ZipfSampler zipf(1 << 20, 0.99);
     Rng a(42), b(42), c(43);
     bool diverged = false;
@@ -481,8 +481,8 @@ TEST(Zipf, DeterministicForEqualSeeds)
 TEST(Zipf, GoldenRankStream)
 {
     // Committed reference for the first 1000 ranks of a fixed-seed
-    // stream: graph construction, fault storms and tenant mixes all
-    // draw through this sampler, so its output must not drift.
+    // stream: graph construction and fault storms both draw through
+    // this sampler, so its output must not drift.
     ZipfSampler zipf(1 << 20, 0.99);
     Rng rng(42);
     const std::uint64_t head[] = {1,      170,   12902, 378943,
@@ -539,25 +539,21 @@ TEST(Zipf, MassSumsToOneAndSteepensWithSkew)
     EXPECT_GT(flat.mass(0), flat.mass(1));
 }
 
-TEST(EnvParse, DoubleAcceptsPlainNumbersOnly)
+TEST(EnvParse, ParseDoubleAcceptsPlainNumbersOnly)
 {
-    setenv("RMCC_TEST_ENV", "0.99", 1);
-    EXPECT_DOUBLE_EQ(*envDouble("RMCC_TEST_ENV"), 0.99);
-    EXPECT_DOUBLE_EQ(envDoubleOr("RMCC_TEST_ENV", 7.0), 0.99);
-    setenv("RMCC_TEST_ENV", "2", 1);
-    EXPECT_DOUBLE_EQ(*envDouble("RMCC_TEST_ENV"), 2.0);
-    unsetenv("RMCC_TEST_ENV");
-    EXPECT_EQ(envDouble("RMCC_TEST_ENV"), std::nullopt);
-    EXPECT_DOUBLE_EQ(envDoubleOr("RMCC_TEST_ENV", 7.0), 7.0);
+    EXPECT_DOUBLE_EQ(parseDouble("--budget", "0.99"), 0.99);
+    EXPECT_DOUBLE_EQ(parseDouble("--budget", "2"), 2.0);
+    EXPECT_DOUBLE_EQ(parseDouble("--budget", ".5"), 0.5);
 
-    for (const char *bad :
-         {"banana", "1.2banana", " 1.2", "-0.5", "+1", "inf", "nan"}) {
-        setenv("RMCC_TEST_ENV", bad, 1);
-        EXPECT_THROW(envDouble("RMCC_TEST_ENV"), std::runtime_error)
-            << "value '" << bad << "' should be rejected";
-        EXPECT_THROW(envDoubleOr("RMCC_TEST_ENV", 7.0),
-                     std::runtime_error)
-            << "fallback must not mask garbage '" << bad << "'";
+    for (const char *bad : {"banana", "1.2banana", " 1.2", "-0.5", "+1",
+                            "inf", "nan", ""}) {
+        try {
+            parseDouble("--budget", bad);
+            ADD_FAILURE() << "value '" << bad << "' should be rejected";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("--budget"),
+                      std::string::npos)
+                << "message must name the setting: " << e.what();
+        }
     }
-    unsetenv("RMCC_TEST_ENV");
 }
