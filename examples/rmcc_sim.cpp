@@ -32,7 +32,9 @@ usage()
         "rmcc_sim [options]\n"
         "  --workload NAME   one of the 11 paper workloads (or --suite)\n"
         "  --suite           run all 11 workloads\n"
-        "  --mode M          timing (default) | functional\n"
+        "  --mode M          timing (default) | functional; picks the\n"
+        "                    preset the other options edit, wherever\n"
+        "                    it appears\n"
         "  --scheme S        morphable (default) | sc64 | monolithic\n"
         "  --rmcc            enable RMCC on top of the scheme\n"
         "  --non-secure      disable memory protection entirely\n"
@@ -80,6 +82,21 @@ main(int argc, char **argv)
     SystemConfig &cfg = nc.cfg;
     bool warmup_set = false;
 
+    // --mode picks the preset every other option edits, so it applies
+    // first wherever it appears (the last --mode wins).
+    for (int i = 1; i + 1 < argc; ++i) {
+        if (std::string(argv[i]) != "--mode")
+            continue;
+        try {
+            const std::string m = util::parseChoice(
+                "--mode", argv[++i], {"timing", "functional"});
+            cfg = m == "functional" ? SystemConfig::functionalDefault()
+                                    : SystemConfig::timingDefault();
+        } catch (const std::runtime_error &e) {
+            util::fatal("%s", e.what());
+        }
+    }
+
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto next = [&]() -> const char * {
@@ -108,13 +125,7 @@ main(int argc, char **argv)
         } else if (a == "--suite") {
             suite = true;
         } else if (a == "--mode") {
-            const std::string m = choice({"timing", "functional"});
-            const SystemConfig preset =
-                m == "functional" ? SystemConfig::functionalDefault()
-                                  : SystemConfig::timingDefault();
-            const auto scheme = cfg.scheme;
-            cfg = preset;
-            cfg.scheme = scheme;
+            next(); // applied before this loop
         } else if (a == "--scheme") {
             const std::string s = next();
             if (s == "morphable")

@@ -24,7 +24,7 @@ Hierarchy::access(addr::Addr paddr, bool is_write)
         if (w2.writeback) {
             const AccessResult w3 = llc_.fill(w2.victim_addr, true);
             if (w3.writeback)
-                out.memory_writeback = w3.victim_addr;
+                out.addWriteback(w3.victim_addr);
         }
     }
     if (r1.hit) {
@@ -37,7 +37,7 @@ Hierarchy::access(addr::Addr paddr, bool is_write)
     if (r2.writeback) {
         const AccessResult w3 = llc_.fill(r2.victim_addr, true);
         if (w3.writeback)
-            out.memory_writeback = w3.victim_addr;
+            out.addWriteback(w3.victim_addr);
     }
     if (r2.hit) {
         out.hit_level = 2;
@@ -47,10 +47,11 @@ Hierarchy::access(addr::Addr paddr, bool is_write)
 
     const AccessResult r3 = llc_.access(paddr, false);
     if (r3.writeback) {
-        // Two memory writebacks per access are possible but rare; the
-        // later one wins here and the earlier is still counted by the
-        // caller via the llc writeback statistic.
-        out.memory_writeback = r3.victim_addr;
+        // Several memory writebacks per access are possible but rare.
+        // memory_writeback keeps only this last one, and no statistic
+        // counts the earlier ones: a caller that writes back only
+        // memory_writeback loses them.  writebacks[] has all of them.
+        out.addWriteback(r3.victim_addr);
     }
     if (r3.hit) {
         out.hit_level = 3;

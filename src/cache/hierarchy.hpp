@@ -6,6 +6,7 @@
 #ifndef RMCC_CACHE_HIERARCHY_HPP
 #define RMCC_CACHE_HIERARCHY_HPP
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -28,8 +29,20 @@ struct HierarchyResult
     unsigned hit_level = 0;      //!< 1..3 = cache level, 4 = memory.
     double hit_latency_ns = 0;   //!< Cumulative latency up to the hit level.
     bool llc_miss = false;       //!< Access must go to memory.
-    //! Dirty LLC victim that must be written back to memory (encrypted).
+    //! Dirty LLC victims this access evicted, in eviction order: one
+    //! each from the L1 victim's cascade, the L2 victim's cascade and
+    //! the LLC's own allocation.
+    unsigned writeback_count = 0;
+    std::array<addr::Addr, 3> writebacks{};
+    //! The last of those victims.  Replay loops that write back only
+    //! this one drop the earlier victims of a multi-writeback access.
     std::optional<addr::Addr> memory_writeback;
+
+    void addWriteback(addr::Addr victim)
+    {
+        writebacks[writeback_count++] = victim;
+        memory_writeback = victim;
+    }
 };
 
 /**

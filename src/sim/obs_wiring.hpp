@@ -88,17 +88,34 @@ cellName(const std::string &workload, const SystemConfig &cfg)
 }
 
 /**
+ * Running LLC counts of a replay loop, kept from its front-end stream:
+ * the records that reached the LLC and those that missed it (what the
+ * live LLC's accesses() and misses() would read).
+ */
+struct LlcCounts
+{
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+
+    void add(const FrontEndEvent &ev)
+    {
+        accesses += ev.hit_level >= 3 ? 1 : 0;
+        misses += ev.hit_level == 4 ? 1 : 0;
+    }
+};
+
+/**
  * Register the standard probe catalog over a rig.  now_fn supplies the
  * current simulated time for the DRAM-backlog probe (the two simulators
- * keep time differently).  io, when non-null, is the replay cursor's
- * I/O counter block (spilled traces only) and adds the spill probes.
- * Everything referenced must outlive the registry; probe lambdas capture
- * raw pointers/references.
+ * keep time differently).  llc is the replay loop's running LLC counts.
+ * io, when non-null, is the replay cursor's I/O counter block (spilled
+ * traces only) and adds the spill probes.  Everything referenced must
+ * outlive the registry; probe lambdas capture raw pointers/references.
  */
 inline void
 registerRigProbes(obs::Registry &o, SimRig &rig,
                   const trace::TraceSource &trace,
-                  std::function<double()> now_fn,
+                  std::function<double()> now_fn, const LlcCounts &llc,
                   const trace::TraceIoStats *io = nullptr)
 {
     // Memoization table + candidate monitor (L0; the headline curves).
@@ -131,11 +148,9 @@ registerRigProbes(obs::Registry &o, SimRig &rig,
     o.addProbe("ctr.observed_max",
                [&tree] { return double(tree.observedMax()); });
 
-    // Cache hierarchy + counter cache.
-    const cache::SetAssocCache &llc = rig.hier.llc();
-    o.addProbe("llc.accesses",
-               [&llc] { return double(llc.accesses()); });
-    o.addProbe("llc.misses", [&llc] { return double(llc.misses()); });
+    // LLC (from the front-end stream) + counter cache.
+    o.addProbe("llc.accesses", [&llc] { return double(llc.accesses); });
+    o.addProbe("llc.misses", [&llc] { return double(llc.misses); });
     o.addRate("llc.miss_rate", "llc.misses", "llc.accesses");
     const cache::SetAssocCache &cc = rig.mc.counterCache();
     o.addProbe("ctr_cache.accesses",

@@ -16,6 +16,7 @@
 #include "dram/ddr4.hpp"
 #include "mc/recovery.hpp"
 #include "mc/secure_mc.hpp"
+#include "sim/front_end.hpp"
 #include "sim/system_config.hpp"
 #include "sim/trace_drive.hpp"
 #include "util/cancel.hpp"
@@ -38,7 +39,11 @@ effectiveRmccConfig(const SystemConfig &cfg)
     return rc;
 }
 
-/** All components of one simulated system. */
+/**
+ * All components of one simulated system.  The simulators take the
+ * front end from the trace's FrontEndStream and leave `tlb` and `hier`
+ * idle; perfbench's traced replica still drives them.
+ */
 struct SimRig
 {
     addr::PageMapper mapper;
@@ -51,7 +56,7 @@ struct SimRig
     addr::CounterValue init_max; //!< Observed max right after init.
 
     explicit SimRig(const SystemConfig &cfg)
-        : mapper(cfg.page_mode, cfg.phys_bytes, cfg.seed ^ 0x9a9a),
+        : mapper(makePageMapper(cfg)),
           tlb(cfg.tlb_entries, cfg.tlb_assoc, mapper.pageSize()),
           hier(cfg.l1, cfg.l2, cfg.llc),
           tree(cfg.scheme, cfg.phys_bytes / addr::kBlockSize),
@@ -83,10 +88,15 @@ struct SimRig
  * unsimulated prior lifetime would have (the paper warms its integrity
  * tree for 25 B instructions in atomic mode before measuring).  Budgets
  * drain to zero afterwards: the measured window runs at steady accrual.
+ *
+ * Counter reads happen at LLC-miss granularity and counter writes at
+ * true writeback addresses, taken from the same front-end stream the
+ * measured run replays, so the measured caches start cold.
  */
 inline void
 preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
-                 const trace::TraceSource &trace)
+                 const trace::TraceSource &trace,
+                 const FrontEndStream &stream)
 {
     if (!(cfg.secure && cfg.rmcc && cfg.precondition))
         return;
@@ -94,12 +104,8 @@ preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
                               static_cast<double>(cfg.trace_records));
     const unsigned cov0 = rig.tree.level(0).coverage();
     std::uint64_t ops = 0;
-    // Drive a throwaway copy of the cache hierarchy so counter reads
-    // happen at LLC-miss granularity and counter writes at true
-    // writeback addresses — the same streams the measured run will
-    // produce — without pre-warming the measured caches.
-    cache::Hierarchy scratch(cfg.l1, cfg.l2, cfg.llc);
     std::uint64_t polled = 0;
+    FrontEndCursor fe(stream);
     // This pass runs first, so with a spilled source its window-boundary
     // pre-warm (TraceDrive) establishes the mapper's first-touch frame
     // order; the measured loop's pre-warms then all no-op.
@@ -109,11 +115,11 @@ preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
         for (std::size_t k = 0; k < w.count; ++k) {
             if ((polled++ & 0x1fff) == 0)
                 util::pollCancel();
-            const trace::Record &rec = w.data[k];
-            const addr::Addr paddr = rig.mapper.translate(rec.vaddr);
-            const cache::HierarchyResult h =
-                scratch.access(paddr, rec.is_write);
-            if (h.llc_miss) {
+            // Translating every record in order keeps the mapper's
+            // frame assignment that of a live pass.
+            const addr::Addr paddr = rig.mapper.translate(w.data[k].vaddr);
+            const FrontEndEvent ev = fe.next();
+            if (ev.hit_level == 4) {
                 const addr::BlockId blk = addr::blockOf(paddr);
                 rig.engine.onReadCounterUse(0, blk);
                 if (ops % 8 == 0)
@@ -121,9 +127,8 @@ preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
                 ++ops;
                 rig.engine.onDramAccess();
             }
-            if (h.memory_writeback) {
-                const addr::BlockId blk =
-                    addr::blockOf(*h.memory_writeback);
+            if (ev.writebacks != 0) {
+                const addr::BlockId blk = addr::blockOf(ev.writeback);
                 rig.engine.onWriteCounter(0, blk);
                 // L0 counter blocks reach memory roughly once per
                 // several data writebacks; exercise the L1 table at

@@ -65,6 +65,7 @@ TraceBuffer &
 TraceBuffer::operator=(TraceBuffer &&other) noexcept
 {
     if (this != &other) {
+        forgetDerived();
         capacity_ = other.capacity_;
         records_ = std::move(other.records_);
         total_insts_ = other.total_insts_;

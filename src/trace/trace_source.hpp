@@ -15,14 +15,21 @@
  * Virtual dispatch happens once per *window*, never per record: the
  * replay loops iterate raw `const Record *` spans inside a window, so the
  * in-RAM path compiles to the same inner loop as before the abstraction.
+ *
+ * A source also memoizes data derived from its records
+ * (TraceSource::derived), such as the simulated front end's event stream
+ * (sim/front_end.hpp), so each trace builds it once for all its cells.
  */
 #ifndef RMCC_TRACE_TRACE_SOURCE_HPP
 #define RMCC_TRACE_TRACE_SOURCE_HPP
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "trace/record.hpp"
+#include "util/mutex.hpp"
 
 namespace rmcc::trace
 {
@@ -103,7 +110,17 @@ class TraceCursor
 class TraceSource
 {
   public:
+    TraceSource() = default;
     virtual ~TraceSource() = default;
+
+    //! A copy holds the same records but starts with an empty memo of
+    //! derived data; assigning over a source drops its memo.
+    TraceSource(const TraceSource & /*other*/) {}
+    TraceSource &operator=(const TraceSource & /*other*/)
+    {
+        forgetDerived();
+        return *this;
+    }
 
     /** Recorded operations. */
     virtual std::size_t size() const = 0;
@@ -130,6 +147,55 @@ class TraceSource
      * boundaries — see trace_plan.hpp for why that is bit-identical.
      */
     virtual const TracePlan *plan() const { return nullptr; }
+
+    /**
+     * Data derived from the records, built at most once per key and kept
+     * until the source is destroyed or assigned over.  The first caller
+     * of a key runs build() under that key's lock, so concurrent callers
+     * wait for it and then share its result; a build that throws
+     * publishes nothing and the next caller builds again.  The key must
+     * name everything besides the records that the result depends on,
+     * and T must be the same type for every caller of one key.
+     */
+    template <class T, class Build>
+    std::shared_ptr<const T> derived(const std::string &key,
+                                     Build &&build) const
+    {
+        const std::shared_ptr<DerivedSlot> held = derivedSlot(key);
+        DerivedSlot &slot = *held;
+        util::MutexLock lock(slot.mu);
+        if (slot.value == nullptr)
+            slot.value = std::shared_ptr<const T>(build());
+        return std::static_pointer_cast<const T>(slot.value);
+    }
+
+  protected:
+    /** Drop every derived result (the records were replaced). */
+    void forgetDerived()
+    {
+        util::MutexLock lock(derived_mu_);
+        derived_.clear();
+    }
+
+  private:
+    struct DerivedSlot
+    {
+        util::Mutex mu;
+        std::shared_ptr<const void> value RMCC_GUARDED_BY(mu);
+    };
+
+    std::shared_ptr<DerivedSlot> derivedSlot(const std::string &key) const
+    {
+        util::MutexLock lock(derived_mu_);
+        std::shared_ptr<DerivedSlot> &slot = derived_[key];
+        if (slot == nullptr)
+            slot = std::make_shared<DerivedSlot>();
+        return slot;
+    }
+
+    mutable util::Mutex derived_mu_;
+    mutable std::map<std::string, std::shared_ptr<DerivedSlot>>
+        derived_ RMCC_GUARDED_BY(derived_mu_);
 };
 
 } // namespace rmcc::trace
