@@ -45,6 +45,14 @@ class TraceDrive
     {
     }
 
+    /**
+     * Start timing trace I/O into obs (may be null).  The replay loops
+     * build the drive before their registry, so the registry, whose
+     * destructor still reads the spill probes over this drive's cursor,
+     * is destroyed first even when a cancelled cell unwinds.
+     */
+    void attachObs(obs::Registry *obs) { obs_ = obs; }
+
     /** Advance to the next window; false at end of trace. */
     bool advance()
     {
