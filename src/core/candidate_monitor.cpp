@@ -19,7 +19,7 @@ CandidateMonitor::arm(addr::CounterValue max_in_table)
     // X+129+2^j for j = 4..17: exponential rungs reaching ~131 K above.
     for (unsigned j = 4; j <= 17; ++j)
         candidates_.push_back(max_in_table + 129 + (1ULL << j));
-    below_counts_.assign(candidates_.size(), 0);
+    rung_hist_.assign(candidates_.size() + 1, 0);
     total_reads_ = 0;
     high_reads_ = 0;
 }
@@ -30,8 +30,19 @@ CandidateMonitor::observeRead(addr::CounterValue v)
     ++total_reads_;
     if (v > armed_max_)
         ++high_reads_;
-    for (std::size_t c = 0; c < candidates_.size(); ++c)
-        below_counts_[c] += v < candidates_[c] ? 1 : 0;
+    // Branch-free binary search for the number of rungs <= v (the
+    // ladder is strictly ascending).
+    const addr::CounterValue *base = candidates_.data();
+    std::size_t n = candidates_.size();
+    while (n > 1) {
+        const std::size_t half = n / 2;
+        base = base[half] <= v ? base + half : base;
+        n -= half;
+    }
+    const std::size_t rungs_at_or_below =
+        static_cast<std::size_t>(base - candidates_.data()) +
+        (*base <= v ? 1 : 0);
+    ++rung_hist_[rungs_at_or_below];
 }
 
 std::optional<addr::CounterValue>
@@ -43,10 +54,14 @@ CandidateMonitor::takeSelection()
         cfg_.coverage_goal * static_cast<double>(total_reads_);
     // Smallest candidate covering >= 98% of observed reads; if even the
     // top rung falls short, take the top rung (the ladder re-arms higher
-    // next time and ratchets up).
-    for (std::size_t c = 0; c < candidates_.size(); ++c)
-        if (static_cast<double>(below_counts_[c]) >= goal)
+    // next time and ratchets up).  A read is below rung c exactly when
+    // at most c rungs are <= it, so rung c's count is a prefix sum.
+    std::uint64_t below = 0;
+    for (std::size_t c = 0; c < candidates_.size(); ++c) {
+        below += rung_hist_[c];
+        if (static_cast<double>(below) >= goal)
             return candidates_[c];
+    }
     return candidates_.back();
 }
 

@@ -66,7 +66,9 @@ class CandidateMonitor
     MonitorConfig cfg_;
     addr::CounterValue armed_max_ = 0;
     std::vector<addr::CounterValue> candidates_;
-    std::vector<std::uint64_t> below_counts_;
+    //! Reads since arming, by how many rungs are <= the read's value
+    //! (0 .. candidates_.size()).
+    std::vector<std::uint64_t> rung_hist_;
     std::uint64_t total_reads_ = 0;
     std::uint64_t high_reads_ = 0;
 };

@@ -81,8 +81,12 @@ Sc64Scheme::countInRanges(const ValueRanges &ranges) const
 }
 
 void
-Sc64Scheme::randomInit(util::Rng &rng, addr::CounterValue mean)
+Sc64Scheme::randomInit(util::Rng &shared_rng, addr::CounterValue mean)
 {
+    // Draw from a local copy: the byte-typed minor stores may alias the
+    // caller's generator, which would force its state through memory on
+    // every draw.
+    util::Rng rng = shared_rng;
     for (addr::CounterBlockId cb = 0; cb < majors_.size(); ++cb) {
         const addr::CounterValue major =
             rng.nextInRange(mean / 2, mean + mean / 2);
@@ -96,6 +100,7 @@ Sc64Scheme::randomInit(util::Rng &rng, addr::CounterValue mean)
         }
         noteStored(major + top);
     }
+    shared_rng = rng;
 }
 
 } // namespace rmcc::ctr

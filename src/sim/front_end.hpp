@@ -16,6 +16,8 @@
 #ifndef RMCC_SIM_FRONT_END_HPP
 #define RMCC_SIM_FRONT_END_HPP
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -23,6 +25,7 @@
 
 #include "address/page_mapper.hpp"
 #include "sim/system_config.hpp"
+#include "trace/record.hpp"
 #include "trace/trace_source.hpp"
 
 namespace rmcc::sim
@@ -53,6 +56,13 @@ struct FrontEndStream
     static bool llcMiss(std::uint8_t e) { return (e & 3u) == 3u; }
     static bool tlbMiss(std::uint8_t e) { return (e & 4u) != 0; }
     static unsigned writebacks(std::uint8_t e) { return e >> 3; }
+    /** An L1 or L2 hit with no TLB miss and no writeback. */
+    static bool quietHit(std::uint8_t e) { return e <= 1u; }
+    /** Does the record send a read or a writeback to memory? */
+    static bool reachesMemory(std::uint8_t e)
+    {
+        return llcMiss(e) || writebacks(e) != 0;
+    }
 };
 
 /** One record's front-end outcome, as the replay loops consume it. */
@@ -72,7 +82,8 @@ class FrontEndCursor
 {
   public:
     explicit FrontEndCursor(const FrontEndStream &s)
-        : ev_(s.events.data()), vic_(s.victims.data())
+        : ev_(s.events.data()), end_(ev_ + s.events.size()),
+          vic_(s.victims.data())
     {
     }
 
@@ -95,8 +106,54 @@ class FrontEndCursor
      *  when such a record exists. */
     bool peekLlcMiss() const { return FrontEndStream::llcMiss(*ev_); }
 
+    /**
+     * Step through a run of quiet records: L1/L2 hits (quietHit) whose
+     * successor does not miss the LLC, so a replay loop has nothing to
+     * do for them but advance its CPU model, and nothing to translate or
+     * prefetch for the record after.  Covers at most the next n records
+     * (rec[0] beside the next event), stops before the first that is not
+     * quiet and calls on_quiet(rec[j]) for each one stepped through.
+     * Returns how many that was.
+     */
+    template <class F>
+    std::size_t quietRun(const trace::Record *rec, std::size_t n,
+                         F &&on_quiet)
+    {
+        if (n == 0)
+            return 0;
+        // The trace's last record has no successor to look at.
+        n = std::min(n, static_cast<std::size_t>(end_ - ev_) - 1);
+        std::size_t j = 0;
+        std::uint8_t e = ev_[0];
+        while (j < n) {
+            const std::uint8_t succ = ev_[j + 1];
+            if (!FrontEndStream::quietHit(e) || FrontEndStream::llcMiss(succ))
+                break;
+            on_quiet(rec[j]);
+            e = succ;
+            ++j;
+        }
+        ev_ += j;
+        return j;
+    }
+
+    /**
+     * Step past the records among the next n that send nothing to memory
+     * (see FrontEndStream::reachesMemory), stopping before the first
+     * that does.  Returns how many were skipped.
+     */
+    std::size_t skipSilent(std::size_t n)
+    {
+        std::size_t j = 0;
+        while (j < n && !FrontEndStream::reachesMemory(ev_[j]))
+            ++j;
+        ev_ += j;
+        return j;
+    }
+
   private:
     const std::uint8_t *ev_;
+    const std::uint8_t *end_;
     const addr::Addr *vic_;
 };
 

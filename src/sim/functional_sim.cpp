@@ -60,15 +60,20 @@ runFunctional(const std::string &workload_name,
         rig.mc.attachObs(obs.get());
     }
 
-    // One-record lookahead (see runTiming): translating record i+1 at the
-    // end of iteration i keeps the first-touch order v0, v1, v2, ... the
-    // plain loop produced, and the prefetch hook is pure, so results
+    // One-record lookahead (see runTiming): only the next record's LLC
+    // miss is translated, which keeps the first-touch page order of a
+    // pass over every record, and the prefetch hook is pure, so results
     // are bit-identical.  `ahead` carries the lookahead across window
-    // boundaries.
+    // boundaries.  Quiet records only count instructions; without a
+    // registry or a fault campaign, both of which act per record, runs
+    // of them are stepped through in a tight loop (see runTiming).
     FrontEndCursor fe(*stream);
+    const bool quiet_runs = obs == nullptr && campaign == nullptr;
     bool more = drive.advance();
     addr::Addr next_paddr =
-        more ? rig.mapper.translate(drive.window().data[0].vaddr) : 0;
+        more && fe.peekLlcMiss()
+            ? rig.mapper.translate(drive.window().data[0].vaddr)
+            : 0;
     std::size_t i = 0;
     while (more) {
         const trace::TraceWindow &w = drive.window();
@@ -76,7 +81,7 @@ runFunctional(const std::string &workload_name,
             // Cooperative cancellation: a cell past RMCC_CELL_TIMEOUT_MS
             // (or a SIGTERM'd suite) aborts here instead of running to
             // the end.
-            if ((i & 0x1fff) == 0)
+            if (i % detail::kPollStride == 0)
                 util::pollCancel();
             const trace::Record &rec = w.data[k];
             if (i == cfg.warmup_records) {
@@ -93,10 +98,9 @@ runFunctional(const std::string &workload_name,
             const addr::Addr paddr = next_paddr;
             const trace::Record *nxt =
                 k + 1 < w.count ? &w.data[k + 1] : w.ahead;
-            if (nxt != nullptr) {
+            if (nxt != nullptr && fe.peekLlcMiss()) {
                 next_paddr = rig.mapper.translate(nxt->vaddr);
-                if (fe.peekLlcMiss())
-                    rig.mc.prefetchRead(next_paddr);
+                rig.mc.prefetchRead(next_paddr);
             }
             if (ev.hit_level == 4) {
                 side.inc(h_llc_miss);
@@ -112,6 +116,17 @@ runFunctional(const std::string &workload_name,
                 campaign->afterRecord();
             if (obs)
                 obs->tick();
+            if (quiet_runs) {
+                const std::size_t n = fe.quietRun(
+                    w.data + k + 1,
+                    detail::quietLimit(i + 1, w.count - k - 1,
+                                       cfg.warmup_records),
+                    [&instructions](const trace::Record &q) {
+                        instructions += q.inst_gap + 1;
+                    });
+                k += n;
+                i += n;
+            }
         }
         more = drive.advance();
     }

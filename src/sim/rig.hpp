@@ -6,6 +6,8 @@
 #define RMCC_SIM_RIG_HPP
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 
 #include "address/page_mapper.hpp"
 #include "cache/hierarchy.hpp"
@@ -81,6 +83,28 @@ struct SimRig
     }
 };
 
+/** Records between two util::pollCancel calls of a replay loop. */
+inline constexpr std::size_t kPollStride = 0x2000;
+
+/**
+ * How many records, from global record i on, a replay loop may step
+ * over without its general per-record body: at most the `left` records
+ * remaining in the window, and none at or past the next pollCancel
+ * stride point or the warm-up record, both of which the general body
+ * must reach.
+ */
+inline std::size_t
+quietLimit(std::size_t i, std::size_t left,
+           std::uint64_t warmup = ~std::uint64_t{0})
+{
+    std::size_t n = std::min(left, (kPollStride - i % kPollStride) %
+                                       kPollStride);
+    if (warmup >= i)
+        n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(n, warmup - i));
+    return n;
+}
+
 /**
  * Lifetime warm-up: replay the trace once through the counter tree and
  * RMCC engine alone (no caches/DRAM), with an unconstrained budget, so
@@ -91,7 +115,9 @@ struct SimRig
  *
  * Counter reads happen at LLC-miss granularity and counter writes at
  * true writeback addresses, taken from the same front-end stream the
- * measured run replays, so the measured caches start cold.
+ * measured run replays, so the measured caches start cold.  Only the
+ * records that reach memory are visited; the rest are skipped in the
+ * stream (FrontEndCursor::skipSilent).
  */
 inline void
 preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
@@ -104,7 +130,7 @@ preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
                               static_cast<double>(cfg.trace_records));
     const unsigned cov0 = rig.tree.level(0).coverage();
     std::uint64_t ops = 0;
-    std::uint64_t polled = 0;
+    std::size_t i = 0;
     FrontEndCursor fe(stream);
     // This pass runs first, so with a spilled source its window-boundary
     // pre-warm (TraceDrive) establishes the mapper's first-touch frame
@@ -112,15 +138,16 @@ preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
     TraceDrive drive(trace, rig.mapper, nullptr);
     while (drive.advance()) {
         const trace::TraceWindow &w = drive.window();
-        for (std::size_t k = 0; k < w.count; ++k) {
-            if ((polled++ & 0x1fff) == 0)
+        for (std::size_t k = 0; k < w.count; ++k, ++i) {
+            if (i % kPollStride == 0)
                 util::pollCancel();
-            // Translating every record in order keeps the mapper's
-            // frame assignment that of a live pass.
-            const addr::Addr paddr = rig.mapper.translate(w.data[k].vaddr);
             const FrontEndEvent ev = fe.next();
             if (ev.hit_level == 4) {
-                const addr::BlockId blk = addr::blockOf(paddr);
+                // Only LLC misses are translated: a page's first touch
+                // is always one, so frames are assigned in the order a
+                // live pass over every record assigns them.
+                const addr::BlockId blk =
+                    addr::blockOf(rig.mapper.translate(w.data[k].vaddr));
                 rig.engine.onReadCounterUse(0, blk);
                 if (ops % 8 == 0)
                     rig.engine.onReadCounterUse(1, blk / cov0);
@@ -138,6 +165,10 @@ preconditionRmcc(SimRig &rig, const SystemConfig &cfg,
                 ++ops;
                 rig.engine.onDramAccess();
             }
+            const std::size_t skipped =
+                fe.skipSilent(quietLimit(i + 1, w.count - k - 1));
+            k += skipped;
+            i += skipped;
         }
     }
     rig.engine.setBudgetPools(0.0);

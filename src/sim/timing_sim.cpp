@@ -46,18 +46,29 @@ runTiming(const std::string &workload_name,
     const double llc_lookup_ns =
         cfg.l1.latency_ns + cfg.l2.latency_ns + cfg.llc.latency_ns;
 
-    // One-record lookahead: each iteration translates the next record's
-    // address and, when the stream says it misses the LLC, prefetches
-    // the counter entries its read will scan, hiding the counter store's
-    // memory stalls behind the current record's work.  translate() is
-    // stat-free and the prefetch hook is pure, and translating v[i+1] at
-    // the end of iteration i preserves the exact first-touch order v0,
-    // v1, v2, ... that the plain loop produced — page-frame assignment,
-    // and therefore every physical address and result, is unchanged.
+    // One-record lookahead: when the stream says the next record misses
+    // the LLC, each iteration translates that record's address and
+    // prefetches the counter entries its read will scan, hiding the
+    // counter store's memory stalls behind the current record's work.
+    // Only LLC misses are translated, since only their reads use a
+    // physical address (writebacks carry their victims').  The record
+    // that first touches a page always misses the LLC — no block of a
+    // frame that was never handed out can be cached — so translating
+    // the misses in trace order allocates pages in the same first-touch
+    // order as translating every record: page-frame assignment, and
+    // therefore every physical address and result, is unchanged.
+    //
+    // Quiet records (FrontEndCursor::quietRun) only advance the CPU.
+    // Without a registry, whose tick() must see every record, a run of
+    // them is stepped through in a tight loop that stops at the window
+    // end, the warm-up record and the next cancellation poll.
     FrontEndCursor fe(*stream);
+    const bool quiet_runs = obs == nullptr;
     bool more = drive.advance();
     addr::Addr next_paddr =
-        more ? rig.mapper.translate(drive.window().data[0].vaddr) : 0;
+        more && fe.peekLlcMiss()
+            ? rig.mapper.translate(drive.window().data[0].vaddr)
+            : 0;
     std::size_t i = 0;
     while (more) {
         const trace::TraceWindow &w = drive.window();
@@ -65,7 +76,7 @@ runTiming(const std::string &workload_name,
             // Cooperative cancellation: a cell past RMCC_CELL_TIMEOUT_MS
             // (or a SIGTERM'd suite) aborts here instead of running to
             // the end.
-            if ((i & 0x1fff) == 0)
+            if (i % detail::kPollStride == 0)
                 util::pollCancel();
             const trace::Record &rec = w.data[k];
             if (i == cfg.warmup_records) {
@@ -83,10 +94,9 @@ runTiming(const std::string &workload_name,
             const addr::Addr paddr = next_paddr;
             const trace::Record *nxt =
                 k + 1 < w.count ? &w.data[k + 1] : w.ahead;
-            if (nxt != nullptr) {
+            if (nxt != nullptr && fe.peekLlcMiss()) {
                 next_paddr = rig.mapper.translate(nxt->vaddr);
-                if (fe.peekLlcMiss())
-                    rig.mc.prefetchRead(next_paddr);
+                rig.mc.prefetchRead(next_paddr);
             }
 
             if (ev.hit_level == 4) {
@@ -105,6 +115,17 @@ runTiming(const std::string &workload_name,
             }
             if (obs)
                 obs->tick();
+            if (quiet_runs) {
+                const std::size_t n = fe.quietRun(
+                    w.data + k + 1,
+                    detail::quietLimit(i + 1, w.count - k - 1,
+                                       cfg.warmup_records),
+                    [&cpu](const trace::Record &q) {
+                        cpu.advance(q.inst_gap);
+                    });
+                k += n;
+                i += n;
+            }
         }
         more = drive.advance();
     }

@@ -5,7 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/candidate_monitor.hpp"
+#include "util/rng.hpp"
 
 using namespace rmcc::core;
 
@@ -111,4 +114,39 @@ TEST(Monitor, RearmResetsCounts)
     m.arm(100);
     EXPECT_EQ(m.highReads(), 0u);
     EXPECT_FALSE(m.takeSelection().has_value());
+}
+
+TEST(Monitor, SelectionMatchesPerRungCounts)
+{
+    // The selection must equal the rule stated per rung: count, for every
+    // candidate, the reads strictly below it and take the smallest that
+    // reaches the goal.  Reads land on, just under and just over rungs.
+    rmcc::util::Rng rng(7);
+    for (const double goal : {0.5, 0.9, 0.98, 1.0}) {
+        MonitorConfig cfg;
+        cfg.trigger_reads = 1;
+        cfg.coverage_goal = goal;
+        CandidateMonitor m(cfg);
+        m.arm(5000);
+        const std::vector<rmcc::addr::CounterValue> ladder = m.candidates();
+        std::vector<std::uint64_t> below(ladder.size(), 0);
+        const int reads = 3000;
+        for (int r = 0; r < reads; ++r) {
+            const auto rung = ladder[rng.nextBelow(ladder.size())];
+            const auto v = rung - 1 + rng.nextBelow(3) +
+                           (rng.nextBool(0.1) ? rng.nextBelow(4000) : 0);
+            m.observeRead(v);
+            for (std::size_t c = 0; c < ladder.size(); ++c)
+                below[c] += v < ladder[c] ? 1 : 0;
+        }
+        rmcc::addr::CounterValue want = ladder.back();
+        for (std::size_t c = 0; c < ladder.size(); ++c)
+            if (static_cast<double>(below[c]) >= goal * reads) {
+                want = ladder[c];
+                break;
+            }
+        const auto sel = m.takeSelection();
+        ASSERT_TRUE(sel.has_value());
+        EXPECT_EQ(*sel, want) << "goal " << goal;
+    }
 }

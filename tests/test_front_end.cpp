@@ -1,8 +1,9 @@
 /**
  * @file
  * Front-end stream tests: the stream a trace memoizes must equal a live
- * Tlb + PageMapper + Hierarchy pass, belong to that trace object alone,
- * survive a cancelled build, and be built once under a parallel suite.
+ * Tlb + PageMapper + Hierarchy pass (in which every page's first touch
+ * misses the LLC), belong to that trace object alone, survive a
+ * cancelled build, and be built once under a parallel suite.
  */
 #include <gtest/gtest.h>
 
@@ -39,8 +40,10 @@ canneal()
 
 /**
  * Replay the trace through a live Tlb + PageMapper + Hierarchy and check
- * every record's event, and every victim, against the stream.  Returns
- * the largest writeback count seen on one record.
+ * every record's event, and every victim, against the stream.  Also
+ * checks the invariant that lets the replay loops translate only LLC
+ * misses: every record that first touches its page misses the LLC.
+ * Returns the largest writeback count seen on one record.
  */
 unsigned
 expectMatchesLivePass(const trace::TraceSource &trace,
@@ -58,8 +61,12 @@ expectMatchesLivePass(const trace::TraceSource &trace,
         for (std::size_t k = 0; k < w.count; ++k, ++i) {
             const trace::Record &rec = w.data[k];
             const bool tlb_miss = !tlb.access(rec.vaddr);
+            const std::size_t pages = mapper.allocatedPages();
             const cache::HierarchyResult h =
                 hier.access(mapper.translate(rec.vaddr), rec.is_write);
+            if (mapper.allocatedPages() != pages) {
+                EXPECT_TRUE(h.llc_miss) << "first touch hits at " << i;
+            }
             if (i >= s.events.size())
                 continue;
             const std::uint8_t e = s.events[i];

@@ -835,6 +835,36 @@ TEST(ObsEndToEnd, OffIsBitIdenticalAndWritesNothing)
 {
     clearObsEnv();
 
+    const auto check = [](const wl::Workload &w,
+                          const trace::TraceBuffer &trace,
+                          const sim::NamedConfig &nc) {
+        SCOPED_TRACE(w.name + " / " + nc.label);
+        const sim::SimResult baseline = sim::runOne(w.name, trace, nc);
+
+        const std::string dir = freshDir("off");
+        {
+            ObsEnv env("off", dir);
+            const sim::SimResult off = sim::runOne(w.name, trace, nc);
+            EXPECT_EQ(off.stats.all(), baseline.stats.all()) << nc.label;
+            EXPECT_EQ(off.instructions, baseline.instructions);
+            EXPECT_DOUBLE_EQ(off.elapsed_ns, baseline.elapsed_ns);
+            EXPECT_EQ(fileCount(dir), 0u) << "RMCC_OBS=off wrote files";
+        }
+        {
+            // Sampling must only read: epochs/full modes report the
+            // exact same simulated numbers.
+            const std::string dir2 = freshDir("epochs_identity");
+            ObsEnv env("epochs", dir2);
+            const sim::SimResult on = sim::runOne(w.name, trace, nc);
+            EXPECT_EQ(on.stats.all(), baseline.stats.all()) << nc.label;
+            EXPECT_EQ(on.instructions, baseline.instructions);
+            EXPECT_DOUBLE_EQ(on.elapsed_ns, baseline.elapsed_ns);
+            EXPECT_GT(fileCount(dir2), 0u);
+            fs::remove_all(dir2);
+        }
+        fs::remove_all(dir);
+    };
+
     // One fig03-style cell (functional Morphable baseline) and one
     // fig13-style cell (timing RMCC); both shrunk.
     std::vector<sim::NamedConfig> cells = {
@@ -849,31 +879,37 @@ TEST(ObsEndToEnd, OffIsBitIdenticalAndWritesNothing)
     }
     const auto *w = wl::findWorkload("canneal");
     const auto trace = wl::generateTrace(*w, 40000, 42);
+    for (const sim::NamedConfig &nc : cells)
+        check(*w, trace, nc);
 
-    for (const sim::NamedConfig &nc : cells) {
-        const sim::SimResult baseline = sim::runOne(w->name, trace, nc);
-
-        const std::string dir = freshDir("off");
-        {
-            ObsEnv env("off", dir);
-            const sim::SimResult off = sim::runOne(w->name, trace, nc);
-            EXPECT_EQ(off.stats.all(), baseline.stats.all()) << nc.label;
-            EXPECT_EQ(off.instructions, baseline.instructions);
-            EXPECT_DOUBLE_EQ(off.elapsed_ns, baseline.elapsed_ns);
-            EXPECT_EQ(fileCount(dir), 0u) << "RMCC_OBS=off wrote files";
-        }
-        {
-            // Sampling must only read: epochs/full modes report the
-            // exact same simulated numbers.
-            const std::string dir2 = freshDir("epochs_identity");
-            ObsEnv env("epochs", dir2);
-            const sim::SimResult on = sim::runOne(w->name, trace, nc);
-            EXPECT_EQ(on.stats.all(), baseline.stats.all()) << nc.label;
-            EXPECT_DOUBLE_EQ(on.elapsed_ns, baseline.elapsed_ns);
-            EXPECT_GT(fileCount(dir2), 0u);
-            fs::remove_all(dir2);
-        }
-        fs::remove_all(dir);
+    // omnetpp stays in the caches, so with obs off its replay steps
+    // through long runs of quiet records, while obs on takes every
+    // record through the general body.  The record count is not a
+    // multiple of the cancellation stride, and the warm-up record lies
+    // inside a quiet run, where the run must stop for it.
+    constexpr std::size_t kOmnetRecords = 45001;
+    const auto *o = wl::findWorkload("omnetpp");
+    const auto otrace = wl::generateTrace(*o, kOmnetRecords, 42);
+    for (const sim::SimMode mode :
+         {sim::SimMode::Timing, sim::SimMode::Functional}) {
+        sim::NamedConfig nc = sim::rmccConfig(mode);
+        nc.label += mode == sim::SimMode::Timing ? " timing" : " functional";
+        shrink(nc.cfg);
+        nc.cfg.trace_records = kOmnetRecords;
+        const std::vector<std::uint8_t> &ev =
+            sim::frontEndStream(otrace, nc.cfg)->events;
+        const auto quiet = [&ev](std::size_t r) {
+            return sim::FrontEndStream::quietHit(ev[r]) &&
+                   !sim::FrontEndStream::llcMiss(ev[r + 1]);
+        };
+        std::size_t warm = kOmnetRecords / 2;
+        while (warm + 1 < ev.size() &&
+               !(quiet(warm - 2) && quiet(warm - 1) && quiet(warm) &&
+                 warm % sim::detail::kPollStride > 2))
+            ++warm;
+        ASSERT_LT(warm + 1, ev.size()) << "no quiet run past the middle";
+        nc.cfg.warmup_records = warm;
+        check(*o, otrace, nc);
     }
 }
 

@@ -330,4 +330,24 @@ TEST(Integration, GoldenCellDigests)
             << (with_campaign ? "+faults" : "") << std::hex << " digest 0x"
             << d.h;
     }
+
+    // Randomized 4 KB frames, where every physical address depends on
+    // the order pages are first touched, on omnetpp, whose records
+    // mostly stay in the caches: a timing and a functional
+    // Morphable+RMCC cell.
+    const auto *o = wl::findWorkload("omnetpp");
+    const auto otrace = wl::generateTrace(*o, kRecords, 42);
+    const std::uint64_t small_goldens[2] = {0xc83a1e86e32736fbULL,
+                                            0xac332120c1c67a2dULL};
+    for (const SimMode mode : {SimMode::Timing, SimMode::Functional}) {
+        SystemConfig cfg = cellShape(rmccConfig(mode), kRecords);
+        cfg.page_mode = addr::PageMode::Small4K;
+        const bool timed = mode == SimMode::Timing;
+        CellDigest d;
+        d.add(timed ? runTiming(o->name, otrace, cfg)
+                    : runFunctional(o->name, otrace, cfg));
+        EXPECT_EQ(d.h, small_goldens[timed ? 0 : 1])
+            << (timed ? "timing" : "functional")
+            << " Small4K Morphable+RMCC" << std::hex << " digest 0x" << d.h;
+    }
 }
