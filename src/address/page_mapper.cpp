@@ -1,6 +1,7 @@
 #include "address/page_mapper.hpp"
 
 #include <bit>
+#include <utility>
 
 #include "util/log.hpp"
 
@@ -17,6 +18,8 @@ PageMapper::PageMapper(PageMode mode, std::uint64_t phys_bytes,
     phys_pages_ = phys_bytes / pageSize();
     if (phys_pages_ == 0)
         util::fatal("PageMapper: physical size smaller than one page");
+    slots_.assign(kInitialSlots, Slot{kFreeVpn, 0});
+    slot_shift_ = 64 - static_cast<unsigned>(std::countr_zero(kInitialSlots));
 }
 
 std::uint64_t
@@ -49,18 +52,52 @@ PageMapper::allocateFrame()
     return frame;
 }
 
+void
+PageMapper::grow()
+{
+    const std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{kFreeVpn, 0});
+    --slot_shift_;
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot &s : old) {
+        if (s.vpn == kFreeVpn)
+            continue;
+        std::size_t i = homeSlot(s.vpn);
+        while (slots_[i].vpn != kFreeVpn)
+            i = (i + 1) & mask;
+        slots_[i] = s;
+    }
+}
+
+std::uint64_t
+PageMapper::frameOf(std::uint64_t vpn)
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = homeSlot(vpn);
+    while (slots_[i].vpn != vpn) {
+        if (slots_[i].vpn == kFreeVpn) {
+            // First touch: allocate, then grow past half load, which
+            // keeps at least half the slots free for probes to end on.
+            const std::uint64_t frame = allocateFrame();
+            slots_[i] = {vpn, frame};
+            if (2 * ++used_ > slots_.size())
+                grow();
+            return frame;
+        }
+        i = (i + 1) & mask;
+    }
+    return slots_[i].frame;
+}
+
 Addr
 PageMapper::translate(Addr vaddr)
 {
     const std::uint64_t vpn = pageOf(vaddr);
-    if (vpn == last_vpn_)
-        return (last_frame_ << page_shift_) + (vaddr & (page_size_ - 1));
-    auto it = table_.find(vpn);
-    if (it == table_.end())
-        it = table_.emplace(vpn, allocateFrame()).first;
-    last_vpn_ = vpn;
-    last_frame_ = it->second;
-    return (it->second << page_shift_) + (vaddr & (page_size_ - 1));
+    if (vpn != last_vpn_) {
+        last_frame_ = frameOf(vpn);
+        last_vpn_ = vpn;
+    }
+    return (last_frame_ << page_shift_) + (vaddr & (page_size_ - 1));
 }
 
 } // namespace rmcc::addr

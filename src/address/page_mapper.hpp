@@ -11,8 +11,8 @@
 #ifndef RMCC_ADDRESS_PAGE_MAPPER_HPP
 #define RMCC_ADDRESS_PAGE_MAPPER_HPP
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "address/types.hpp"
@@ -52,13 +52,36 @@ class PageMapper
     std::uint64_t pageOf(Addr vaddr) const { return vaddr >> page_shift_; }
 
     /** Number of pages allocated so far. */
-    std::size_t allocatedPages() const { return table_.size(); }
+    std::size_t allocatedPages() const { return used_; }
 
     /** Highest physical address handed out plus one. */
     Addr physFootprint() const { return next_frame_ * pageSize(); }
 
   private:
+    /** One page-table slot; a free slot holds kFreeVpn. */
+    struct Slot
+    {
+        std::uint64_t vpn;
+        std::uint64_t frame;
+    };
+    //! No page number reaches ~0: addresses are 64-bit and pages >= 4 KB.
+    static constexpr std::uint64_t kFreeVpn = ~0ULL;
+    static constexpr std::size_t kInitialSlots = 256;
+
     std::uint64_t allocateFrame();
+
+    /** Frame of vpn, allocating one on its first touch. */
+    std::uint64_t frameOf(std::uint64_t vpn);
+
+    /** Slot where vpn's linear probe starts (Fibonacci hashing). */
+    std::size_t homeSlot(std::uint64_t vpn) const
+    {
+        return static_cast<std::size_t>((vpn * 0x9e3779b97f4a7c15ULL) >>
+                                        slot_shift_);
+    }
+
+    /** Double the table and re-place every entry. */
+    void grow();
 
     PageMode mode_;
     std::uint64_t page_size_;
@@ -69,7 +92,12 @@ class PageMapper
     //! the same page, and the mapping of an allocated page never changes.
     std::uint64_t last_vpn_ = ~0ULL;
     std::uint64_t last_frame_ = 0;
-    std::unordered_map<std::uint64_t, std::uint64_t> table_;
+    //! Open-addressed vpn -> frame table: a power-of-two slot count,
+    //! doubled once more than half the slots are used, so probes stay
+    //! short and a lookup never allocates.
+    std::vector<Slot> slots_;
+    unsigned slot_shift_ = 0;  //!< 64 - log2(slots_.size()).
+    std::size_t used_ = 0;     //!< Pages allocated.
     std::vector<std::uint64_t> free_frames_; // shuffled, 4 KB mode only
     util::Rng rng_;
 };

@@ -1,6 +1,7 @@
 #include "cache/set_assoc.hpp"
 
 #include <bit>
+#include <cassert>
 
 #include "util/log.hpp"
 
@@ -33,6 +34,11 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
                     static_cast<unsigned long long>(size_bytes), assoc_,
                     line_);
     }
+    if (assoc_ > kMaxAssoc) {
+        util::fatal("cache %s: associativity %u exceeds the %u ways its "
+                    "recency links can index",
+                    name_.c_str(), assoc_, kMaxAssoc);
+    }
     line_pow2_ = std::has_single_bit(line_);
     if (line_pow2_)
         line_shift_ = static_cast<unsigned>(std::countr_zero(line_));
@@ -40,10 +46,9 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
     if (sets_pow2_)
         set_mask_ = sets_count_ - 1;
     tags_.assign(sets_count_ * assoc_, kInvalidTag);
-    lru_.assign(sets_count_ * assoc_, 0);
     dirty_.assign(sets_count_ * assoc_, 0);
-    mru_.assign(sets_count_, 0);
-    filled_.assign(sets_count_, 0);
+    links_.assign(sets_count_ * assoc_, Link{0, 0});
+    set_state_.assign(sets_count_, SetState{});
 }
 
 // rmcc-lint: hot-path
@@ -51,8 +56,9 @@ int
 SetAssocCache::findWay(std::uint64_t set, addr::Addr tag) const
 {
     const addr::Addr *tags = &tags_[set * assoc_];
-    if (tags[mru_[set]] == tag)
-        return static_cast<int>(mru_[set]);
+    const unsigned hint = set_state_[set].head;
+    if (tags[hint] == tag)
+        return static_cast<int>(hint);
     // The hint way cannot match again, so rescanning it is one harmless
     // compare; keeping the loop branch-free lets it vectorize.
     for (unsigned w = 0; w < assoc_; ++w)
@@ -61,49 +67,71 @@ SetAssocCache::findWay(std::uint64_t set, addr::Addr tag) const
     return -1;
 }
 
-// rmcc-lint: hot-path
-unsigned
-SetAssocCache::victimWay(std::uint64_t set) const
+void
+SetAssocCache::unlink(SetState &st, Link *links, Way w)
 {
-    // Invalid ways first; otherwise smallest recency (LRU) or insertion
-    // order (FIFO — lru field records fill time in that mode).
-    const std::uint64_t *lru = &lru_[set * assoc_];
-    if (filled_[set] < assoc_) {
-        const addr::Addr *tags = &tags_[set * assoc_];
-        for (unsigned w = 0; w < assoc_; ++w)
-            if (tags[w] == kInvalidTag)
-                return w;
+    const Link l = links[w];
+    if (w == st.head)
+        st.head = l.next;
+    else
+        links[l.prev].next = l.next;
+    if (w == st.tail)
+        st.tail = l.prev;
+    else
+        links[l.next].prev = l.prev;
+}
+
+void
+SetAssocCache::linkAtHead(SetState &st, Link *links, Way w)
+{
+    if (st.filled == 0) {
+        st.tail = w;
+    } else {
+        links[w].next = st.head;
+        links[st.head].prev = w;
     }
-    unsigned victim = 0;
-    std::uint64_t best = ~0ULL;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (lru[w] < best) {
-            best = lru[w];
-            victim = w;
-        }
-    }
-    return victim;
+    st.head = w;
+}
+
+// rmcc-lint: hot-path
+void
+SetAssocCache::moveToHead(std::uint64_t set, unsigned way)
+{
+    SetState &st = set_state_[set];
+    if (way == st.head)
+        return;
+    Link *links = &links_[set * assoc_];
+    unlink(st, links, static_cast<Way>(way));
+    linkAtHead(st, links, static_cast<Way>(way));
 }
 
 AccessResult
 SetAssocCache::replaceIn(std::uint64_t set, addr::Addr tag, bool dirty)
 {
-    const unsigned way = victimWay(set);
-    const std::size_t li = set * assoc_ + way;
+    SetState &st = set_state_[set];
     AccessResult res;
-    if (tags_[li] != kInvalidTag) {
+    unsigned way = 0;
+    if (st.filled < assoc_) {
+        // Not full: the lowest-index invalid way, linked in at the head.
+        const addr::Addr *tags = &tags_[set * assoc_];
+        while (tags[way] != kInvalidTag)
+            ++way;
+        linkAtHead(st, &links_[set * assoc_], static_cast<Way>(way));
+        ++st.filled;
+    } else {
+        // Full: the tail is the least recently linked way.
+        way = st.tail;
+        const std::size_t li = set * assoc_ + way;
         res.evicted = true;
         res.writeback = dirty_[li] != 0;
         res.victim_addr = tags_[li] * line_;
         if (dirty_[li])
             ++writebacks_;
-    } else {
-        ++filled_[set];
+        moveToHead(set, way);
     }
+    const std::size_t li = set * assoc_ + way;
     tags_[li] = tag;
     dirty_[li] = dirty ? 1 : 0;
-    lru_[li] = clock_;
-    mru_[set] = way;
     return res;
 }
 
@@ -112,42 +140,34 @@ SetAssocCache::access(addr::Addr a, bool is_write)
 {
     const addr::Addr tag = tagOf(a);
     const std::uint64_t set = setIndex(a);
-    ++clock_;
     const int way = findWay(set, tag);
     if (way >= 0) {
-        const std::size_t li = set * assoc_ + static_cast<unsigned>(way);
+        const unsigned w = static_cast<unsigned>(way);
         if (policy_ == ReplPolicy::LRU)
-            lru_[li] = clock_;
+            moveToHead(set, w);
         if (is_write)
-            dirty_[li] = 1;
-        mru_[set] = static_cast<std::uint32_t>(way);
+            dirty_[set * assoc_ + w] = 1;
         ++hits_;
         return {true, false, false, 0};
     }
     ++misses_;
-    // Inline the fill, skipping its redundant findWay: the set cannot
-    // have gained the tag since the probe above.  The clock still
-    // advances exactly as the old access() -> fill() pair did, so every
-    // LRU stamp (and therefore every victim choice) is unchanged.
-    ++clock_;
+    // The set cannot have gained the tag since the probe above, so the
+    // insertion skips fill()'s tag scan.
     return replaceIn(set, tag, is_write);
 }
 
 bool
 SetAssocCache::accessIfPresent(addr::Addr a, bool is_write)
 {
-    const addr::Addr tag = tagOf(a);
     const std::uint64_t set = setIndex(a);
-    const int way = findWay(set, tag);
+    const int way = findWay(set, tagOf(a));
     if (way < 0)
         return false;
-    ++clock_;
-    const std::size_t li = set * assoc_ + static_cast<unsigned>(way);
+    const unsigned w = static_cast<unsigned>(way);
     if (policy_ == ReplPolicy::LRU)
-        lru_[li] = clock_;
+        moveToHead(set, w);
     if (is_write)
-        dirty_[li] = 1;
-    mru_[set] = static_cast<std::uint32_t>(way);
+        dirty_[set * assoc_ + w] = 1;
     ++hits_;
     return true;
 }
@@ -157,18 +177,24 @@ SetAssocCache::fill(addr::Addr a, bool dirty)
 {
     const addr::Addr tag = tagOf(a);
     const std::uint64_t set = setIndex(a);
-    ++clock_;
     const int existing = findWay(set, tag);
     if (existing >= 0) {
-        const std::size_t li =
-            set * assoc_ + static_cast<unsigned>(existing);
+        const unsigned w = static_cast<unsigned>(existing);
         if (dirty)
-            dirty_[li] = 1;
+            dirty_[set * assoc_ + w] = 1;
         if (policy_ == ReplPolicy::LRU)
-            lru_[li] = clock_;
-        mru_[set] = static_cast<std::uint32_t>(existing);
+            moveToHead(set, w);
         return {true, false, false, 0};
     }
+    return replaceIn(set, tag, dirty);
+}
+
+AccessResult
+SetAssocCache::fillAbsent(addr::Addr a, bool dirty)
+{
+    const addr::Addr tag = tagOf(a);
+    const std::uint64_t set = setIndex(a);
+    assert(findWay(set, tag) < 0);
     return replaceIn(set, tag, dirty);
 }
 
@@ -181,24 +207,28 @@ SetAssocCache::probe(addr::Addr a) const
 bool
 SetAssocCache::invalidate(addr::Addr a)
 {
-    const int way = findWay(setIndex(a), tagOf(a));
+    const std::uint64_t set = setIndex(a);
+    const int way = findWay(set, tagOf(a));
     if (way < 0)
         return false;
-    const std::size_t li =
-        setIndex(a) * assoc_ + static_cast<unsigned>(way);
+    const std::size_t li = set * assoc_ + static_cast<unsigned>(way);
     const bool was_dirty = dirty_[li] != 0;
     tags_[li] = kInvalidTag;
     dirty_[li] = 0;
-    --filled_[setIndex(a)];
+    // A set left empty keeps stale (but in-range) list ends.
+    SetState &st = set_state_[set];
+    unlink(st, &links_[set * assoc_], static_cast<Way>(way));
+    --st.filled;
     return was_dirty;
 }
 
 void
 SetAssocCache::touchDirty(addr::Addr a)
 {
-    const int way = findWay(setIndex(a), tagOf(a));
+    const std::uint64_t set = setIndex(a);
+    const int way = findWay(set, tagOf(a));
     if (way >= 0)
-        dirty_[setIndex(a) * assoc_ + static_cast<unsigned>(way)] = 1;
+        dirty_[set * assoc_ + static_cast<unsigned>(way)] = 1;
 }
 
 void

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -63,28 +64,36 @@ class SetAssocCache
      * Hit-only access: identical to access() when the line is present
      * (recency update, dirty marking, hit count); a no-op returning false
      * when it is not.  Lets a caller that handles misses itself (fetch,
-     * then fill()) use one way-scan instead of a probe() + access() pair.
+     * then fillAbsent()) use one way-scan instead of a probe() + access()
+     * pair.
      */
     bool accessIfPresent(addr::Addr a, bool is_write);
 
     /** Insert without an access (e.g. prefetch fill); returns eviction. */
     AccessResult fill(addr::Addr a, bool dirty);
 
+    /**
+     * fill() for a line known to be absent (e.g. right after
+     * accessIfPresent() returned false): the same insertion and eviction
+     * without fill()'s tag scan.  Precondition: probe(a) is false.
+     */
+    AccessResult fillAbsent(addr::Addr a, bool dirty);
+
     /** True if the line is present; does not update recency. */
     bool probe(addr::Addr a) const;
 
     /**
      * Hint that the set holding address a is about to be scanned: issues
-     * software prefetches for its tag and recency rows.  Pure — no state,
-     * stat, or replacement decision changes — so callers may prefetch
-     * speculatively (e.g. the replay loop's next record) without
+     * software prefetches for its tag and recency-link rows.  Pure — no
+     * state, stat, or replacement decision changes — so callers may
+     * prefetch speculatively (e.g. the replay loop's next record) without
      * perturbing results.
      */
     void prefetchSet(addr::Addr a) const
     {
         const std::size_t base = setIndex(a) * assoc_;
         __builtin_prefetch(&tags_[base]);
-        __builtin_prefetch(&lru_[base]);
+        __builtin_prefetch(&links_[base]);
     }
 
     /**
@@ -124,13 +133,43 @@ class SetAssocCache
         return line_pow2_ ? (a >> line_shift_) : (a / line_);
     }
 
-    /** Find the way holding tag (MRU-hint first), or -1. */
+    //! Way index as stored in the recency links.
+    using Way = std::uint8_t;
+    //! Widest associativity the links can index.
+    static constexpr unsigned kMaxAssoc =
+        std::numeric_limits<Way>::max() + 1u;
+
+    /** Recency neighbours of one valid way. */
+    struct Link
+    {
+        Way prev; //!< More recent way (unused at the head).
+        Way next; //!< Less recent way (unused at the tail).
+    };
+
+    /** Per-set list ends and fill count. */
+    struct SetState
+    {
+        Way head = 0;              //!< Most recently linked way.
+        Way tail = 0;              //!< Least recently linked: the victim.
+        std::uint16_t filled = 0;  //!< Valid (= linked) ways.
+    };
+
+    /** Find the way holding tag (list-head hint first), or -1. */
     int findWay(std::uint64_t set, addr::Addr tag) const;
 
-    /** Pick a victim way in the set according to the policy. */
-    unsigned victimWay(std::uint64_t set) const;
+    /** Detach a linked way from its set's list. */
+    static void unlink(SetState &st, Link *links, Way w);
 
-    /** Place tag in the set (which must not hold it) at clock_. */
+    /**
+     * Link an unlinked way in as the most recent.  st.filled must be 0
+     * exactly when no way is linked.
+     */
+    static void linkAtHead(SetState &st, Link *links, Way w);
+
+    /** Move a linked way to the head of its set's list. */
+    void moveToHead(std::uint64_t set, unsigned way);
+
+    /** Place tag in the set (which must not hold it); returns eviction. */
     AccessResult replaceIn(std::uint64_t set, addr::Addr tag, bool dirty);
 
     std::string name_;
@@ -152,16 +191,15 @@ class SetAssocCache
     //! hottest loop in the whole simulator — touches one dense array
     //! instead of striding through 24-byte structs.
     std::vector<addr::Addr> tags_;
-    std::vector<std::uint64_t> lru_;
     std::vector<std::uint8_t> dirty_;
-    //! Most-recently-touched way per set, probed before the linear scan.
-    //! A stale hint only costs one extra compare; search results are
-    //! unchanged.
-    std::vector<std::uint32_t> mru_;
-    //! Valid lines per set; once a set is full the victim scan skips the
-    //! invalid-way check and reduces to a pure LRU minimum.
-    std::vector<std::uint32_t> filled_;
-    std::uint64_t clock_ = 0;
+    //! Per-set doubly linked recency list over the valid ways, head most
+    //! recent.  LRU relinks a way at the head on every touch, FIFO only
+    //! on insertion, so the tail is always the victim of a full set.
+    //! The head doubles as findWay's first guess; every link and end
+    //! stays a way index (stale values included), so the guess is
+    //! always in range, and it cannot match a set with no valid way.
+    std::vector<Link> links_;
+    std::vector<SetState> set_state_;
     std::uint64_t hits_ = 0, misses_ = 0, writebacks_ = 0;
 };
 

@@ -28,8 +28,12 @@ void
 CandidateMonitor::observeRead(addr::CounterValue v)
 {
     ++total_reads_;
-    if (v > armed_max_)
-        ++high_reads_;
+    if (v <= armed_max_) {
+        // Every rung is above the armed maximum, so none is <= v.
+        ++rung_hist_[0];
+        return;
+    }
+    ++high_reads_;
     // Branch-free binary search for the number of rungs <= v (the
     // ladder is strictly ascending).
     const addr::CounterValue *base = candidates_.data();

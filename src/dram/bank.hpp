@@ -16,6 +16,8 @@ namespace rmcc::dram
 /** Row-buffer outcome of a column access. */
 enum class RowOutcome
 {
+    // Bank::issue and Channel::serve index per-outcome tables by these
+    // values, so they stay 0, 1, 2.
     Hit,      //!< Row already open.
     Closed,   //!< Bank precharged (e.g. after timeout): ACT needed.
     Conflict, //!< Different row open: PRE + ACT needed.
@@ -33,12 +35,13 @@ class Bank
      * @param t_ns earliest issue time (ns).
      * @param row target row.
      * @param cfg timing parameters.
+     * @param burst_ns cfg.burstNs(), computed once by the caller.
      * @param[out] outcome row-buffer outcome for statistics.
      * @return time the requested data is available at the bank (before
      *         bus transfer), ns.
      */
     double issue(double t_ns, std::uint64_t row, const DramConfig &cfg,
-                 RowOutcome &outcome);
+                 double burst_ns, RowOutcome &outcome);
 
     /** Open row, or -1 when precharged. */
     std::int64_t openRow() const { return open_row_; }

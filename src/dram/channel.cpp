@@ -5,8 +5,18 @@
 namespace rmcc::dram
 {
 
+namespace
+{
+
+//! Statistic counting each RowOutcome, indexed by its value.
+constexpr std::uint64_t ChannelStats::*kOutcomeCount[] = {
+    &ChannelStats::row_hits, &ChannelStats::row_closed,
+    &ChannelStats::row_conflicts};
+
+} // namespace
+
 Channel::Channel(const DramConfig &cfg, unsigned channel_index)
-    : cfg_(cfg),
+    : cfg_(cfg), burst_ns_(cfg.burstNs()),
       banks_(static_cast<std::size_t>(cfg.ranks) * cfg.banks_per_rank),
       next_refresh_(cfg.ranks, 0.0),
       hit_streak_(banks_.size(), 0)
@@ -46,38 +56,28 @@ Channel::serve(const DramCoord &coord, bool is_write, double t_ns)
     double t = refreshAdjust(coord.rank, t_ns);
 
     RowOutcome outcome;
-    double data_at = bank.issue(t, coord.row, cfg_, outcome);
+    const double issued = bank.issue(t, coord.row, cfg_, burst_ns_, outcome);
 
     // FR-FCFS-Capped: after `cap` consecutive row hits the scheduler lets
     // an older row-miss request in, which closes our row; charge the full
-    // conflict path on the capped access.
-    if (outcome == RowOutcome::Hit) {
-        if (++hit_streak_[bank_idx] > cfg_.frfcfs_cap) {
-            hit_streak_[bank_idx] = 0;
-            outcome = RowOutcome::Conflict;
-            data_at += cfg_.tRP_ns + cfg_.tRCD_ns;
-        }
-    } else {
-        hit_streak_[bank_idx] = 0;
-    }
-
-    switch (outcome) {
-      case RowOutcome::Hit:
-        ++stats_.row_hits;
-        break;
-      case RowOutcome::Closed:
-        ++stats_.row_closed;
-        break;
-      case RowOutcome::Conflict:
-        ++stats_.row_conflicts;
-        break;
-    }
+    // conflict path on the capped access.  Selects, not branches: the
+    // outcome is as unpredictable here as in the bank.
+    const std::uint64_t hit = outcome == RowOutcome::Hit;
+    const std::uint64_t streak = (hit_streak_[bank_idx] + 1) * hit;
+    const std::uint64_t capped = streak > cfg_.frfcfs_cap;
+    hit_streak_[bank_idx] = streak & (capped - 1);
+    const double charged[2] = {issued,
+                               issued + (cfg_.tRP_ns + cfg_.tRCD_ns)};
+    const double data_at = charged[capped];
+    outcome = static_cast<RowOutcome>(static_cast<std::uint64_t>(outcome) +
+                                      2 * capped);
+    ++(stats_.*kOutcomeCount[static_cast<unsigned>(outcome)]);
 
     // Serialize the burst on the shared data bus.
     const double burst_start = std::max(data_at, bus_free_ns_);
-    const double done = burst_start + cfg_.burstNs();
+    const double done = burst_start + burst_ns_;
     bus_free_ns_ = done;
-    stats_.bus_busy_ns += cfg_.burstNs();
+    stats_.bus_busy_ns += burst_ns_;
 
     if (is_write)
         ++stats_.writes;

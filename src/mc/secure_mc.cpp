@@ -105,7 +105,9 @@ SecureMc::touchCounterBlock(unsigned level, addr::CounterBlockId cb,
     if (ctr_cache_.accessIfPresent(a, dirty))
         return {now_ns + cfg_.lat.ctr_cache_ns + decode, false};
     const double done = chargeDram(a, false, now_ns, h_.dram_ctr_read);
-    const cache::AccessResult fill = ctr_cache_.fill(a, dirty);
+    // Neither the DRAM charge nor its engine epoch tick touches the
+    // counter cache, so the block is still absent: skip fill()'s scan.
+    const cache::AccessResult fill = ctr_cache_.fillAbsent(a, dirty);
     if (fill.writeback) {
         // Dirty victim: identify its level and block id from the address.
         for (unsigned l = 0; l < tree_.levels(); ++l) {

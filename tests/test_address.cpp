@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 
 #include "address/layout.hpp"
@@ -125,4 +126,56 @@ TEST(PageMapper, AllocationCountsPages)
     m.translate(100);           // same page
     m.translate(kHugePageSize); // new page
     EXPECT_EQ(m.allocatedPages(), 2u);
+}
+
+TEST(PageMapper, GoldenFrameDigests)
+{
+    // translate() over a seeded page stream, pinned to reference digests.
+    // The stream draws from 16 K pages, half dense and half scattered
+    // across a 2^34-page space, so the page table grows several times and
+    // its probe sequences collide; revisits check that a frame, once
+    // handed out, never moves.  Frames go out in first-touch order, so
+    // any change to allocation order shows in the digest.
+    struct Golden
+    {
+        PageMode mode;
+        std::uint64_t phys_bytes;
+        std::uint64_t digest;
+        std::size_t pages;
+    };
+    const Golden goldens[] = {
+        {PageMode::Small4K, 1ULL << 27, 0xc52cca9c78dc8837ULL, 15626},
+        {PageMode::Huge2M, 1ULL << 36, 0x658d3673984fc794ULL, 15626},
+    };
+    for (const Golden &g : goldens) {
+        PageMapper m(g.mode, g.phys_bytes, 11);
+        // FNV-1a over 64-bit words.
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        const auto add = [&h](std::uint64_t v) {
+            for (int b = 0; b < 8; ++b) {
+                h ^= (v >> (8 * b)) & 0xff;
+                h *= 0x100000001b3ULL;
+            }
+        };
+        std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+        for (int i = 0; i < 60000; ++i) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            const std::uint64_t pick = x % 16000;
+            const std::uint64_t vpn =
+                pick % 2 ? pick
+                         : (pick * 0x9e3779b97f4a7c15ULL) >> 30;
+            const Addr vaddr =
+                (vpn << std::countr_zero(m.pageSize())) +
+                ((x >> 40) & (m.pageSize() - 1));
+            add(m.translate(vaddr));
+        }
+        add(m.allocatedPages());
+        add(m.physFootprint());
+        EXPECT_EQ(m.allocatedPages(), g.pages);
+        EXPECT_EQ(h, g.digest)
+            << "huge=" << (g.mode == PageMode::Huge2M) << std::hex
+            << " digest 0x" << h;
+    }
 }

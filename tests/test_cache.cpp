@@ -12,6 +12,23 @@
 using namespace rmcc::cache;
 using rmcc::addr::Addr;
 
+namespace
+{
+
+//! FNV-1a over 64-bit words, for the golden digests.
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+void
+fnvAdd(std::uint64_t &h, std::uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+} // namespace
+
 TEST(SetAssoc, HitAfterMiss)
 {
     SetAssocCache c("t", 4096, 4);
@@ -117,11 +134,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SetAssoc, GoldenAccessDigests)
 {
-    // Victim choice on random streams, pinned to reference digests: the
-    // MRU hint, the filled-set shortcut and the first-minimum /
-    // lowest-index tie-breaks all decide which line each miss displaces,
-    // so any change to the way scan shows here.  Each access folds hit,
-    // evicted, writeback and victim_addr; the final counts close it.
+    // Victim choice on random streams, pinned to reference digests: a
+    // full set must displace its least recently used line (under FIFO,
+    // its first inserted), so any change to the way scan or the recency
+    // list shows here.  Each access folds hit, evicted, writeback and
+    // victim_addr; the final counts close it.
     struct Golden
     {
         std::uint64_t size;
@@ -139,14 +156,8 @@ TEST(SetAssoc, GoldenAccessDigests)
     };
     for (const Golden &g : goldens) {
         SetAssocCache c("g", g.size, g.assoc, 64, g.policy);
-        // FNV-1a over 64-bit words.
-        std::uint64_t h = 0xcbf29ce484222325ULL;
-        const auto add = [&h](std::uint64_t v) {
-            for (int b = 0; b < 8; ++b) {
-                h ^= (v >> (8 * b)) & 0xff;
-                h *= 0x100000001b3ULL;
-            }
-        };
+        std::uint64_t h = kFnvBasis;
+        const auto add = [&h](std::uint64_t v) { fnvAdd(h, v); };
         std::uint64_t x = 0x9e3779b97f4a7c15ULL;
         for (int i = 0; i < 30000; ++i) {
             x ^= x << 13;
@@ -169,6 +180,90 @@ TEST(SetAssoc, GoldenAccessDigests)
     }
 }
 
+TEST(SetAssoc, GoldenMixedOpDigests)
+{
+    // Every operation that reads or moves recency, interleaved on random
+    // streams and pinned to reference digests: access, accessIfPresent,
+    // fill (present or absent), fillAbsent, invalidate, touchDirty and
+    // probe.  Invalidations punch holes into full sets, so unlinking a
+    // way and relinking it on refill both decide later victims.  LRU and
+    // FIFO run at every associativity; the 6- and 12-set geometries take
+    // the modulo set index.
+    struct Golden
+    {
+        std::uint64_t sets;
+        unsigned assoc;
+        ReplPolicy policy;
+        std::uint64_t digest;
+    };
+    const Golden goldens[] = {
+        {16, 1, ReplPolicy::LRU, 0xfdcd5962cae79d3bULL},
+        {12, 1, ReplPolicy::FIFO, 0xe5e598db005872daULL},
+        {12, 2, ReplPolicy::LRU, 0xa7f9a3cdad3f92b3ULL},
+        {16, 2, ReplPolicy::FIFO, 0xd1c945cededc3af8ULL},
+        {8, 8, ReplPolicy::LRU, 0xa479985dbde2dbb9ULL},
+        {6, 8, ReplPolicy::FIFO, 0xf714d3b84a2ad9f4ULL},
+        {6, 16, ReplPolicy::LRU, 0xf9abee1a8b264d56ULL},
+        {8, 16, ReplPolicy::FIFO, 0x8bdf236b0812b99eULL},
+        {4, 32, ReplPolicy::LRU, 0x3236e548aa44a01dULL},
+        {6, 32, ReplPolicy::FIFO, 0x5d312f2cc8cbe1beULL},
+    };
+    for (const Golden &g : goldens) {
+        const std::uint64_t size = g.sets * g.assoc * 64;
+        SetAssocCache c("g", size, g.assoc, 64, g.policy);
+        std::uint64_t h = kFnvBasis;
+        const auto addResult = [&h](const AccessResult &r) {
+            fnvAdd(h, static_cast<std::uint64_t>(r.hit) |
+                          static_cast<std::uint64_t>(r.evicted) << 1 |
+                          static_cast<std::uint64_t>(r.writeback) << 2);
+            fnvAdd(h, r.victim_addr);
+        };
+        std::uint64_t x = 0x2545f4914f6cdd1dULL ^ size ^ g.assoc;
+        for (int i = 0; i < 40000; ++i) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Three times the capacity: hits, misses and evictions mix.
+            const Addr a = (x % (size * 3)) & ~63ULL;
+            const bool dirty = (x >> 40) & 1;
+            switch ((x >> 48) % 8) {
+              case 0:
+              case 1:
+                addResult(c.access(a, dirty));
+                break;
+              case 2:
+                fnvAdd(h, c.accessIfPresent(a, dirty) ? 1 : 2);
+                break;
+              case 3:
+                addResult(c.fill(a, dirty));
+                break;
+              case 4:
+                if (c.probe(a))
+                    fnvAdd(h, 3);
+                else
+                    addResult(c.fillAbsent(a, dirty));
+                break;
+              case 5:
+                fnvAdd(h, c.invalidate(a) ? 4 : 5);
+                break;
+              case 6:
+                c.touchDirty(a);
+                break;
+              default:
+                fnvAdd(h, c.probe(a) ? 6 : 7);
+                break;
+            }
+        }
+        fnvAdd(h, c.hits());
+        fnvAdd(h, c.misses());
+        fnvAdd(h, c.writebacks());
+        EXPECT_EQ(h, g.digest)
+            << "sets=" << g.sets << " assoc=" << g.assoc << " fifo="
+            << (g.policy == ReplPolicy::FIFO) << std::hex << " digest 0x"
+            << h;
+    }
+}
+
 TEST(SetAssoc, RejectsGeometryWithZeroSets)
 {
     // A 0-byte cache divides evenly by assoc*line but leaves no set to
@@ -176,6 +271,17 @@ TEST(SetAssoc, RejectsGeometryWithZeroSets)
     // set-index modulo.
     EXPECT_EXIT(SetAssocCache("t", 0, 4), ::testing::ExitedWithCode(1),
                 "zero sets");
+}
+
+TEST(SetAssoc, RejectsAssociativityTheLinksCannotIndex)
+{
+    // Recency links hold a way index in one byte: 256 ways is the widest
+    // geometry they can address, and anything wider is a configuration
+    // error naming the cache, not a silent wrap of the links.
+    SetAssocCache widest("widest", 256 * 64, 256);
+    EXPECT_EQ(widest.associativity(), 256u);
+    EXPECT_EXIT(SetAssocCache("wide", 257 * 64, 257),
+                ::testing::ExitedWithCode(1), "cache wide: associativity 257");
 }
 
 TEST(Hierarchy, HitLevelsAndLatencies)

@@ -120,25 +120,37 @@ TEST(Monitor, SelectionMatchesPerRungCounts)
 {
     // The selection must equal the rule stated per rung: count, for every
     // candidate, the reads strictly below it and take the smallest that
-    // reaches the goal.  Reads land on, just under and just over rungs.
+    // reaches the goal.  Reads land on, just under and just over rungs,
+    // and one in five lands at or below the armed maximum (the early-out
+    // path), including exactly on it and on zero.
     rmcc::util::Rng rng(7);
+    const rmcc::addr::CounterValue armed = 5000;
     for (const double goal : {0.5, 0.9, 0.98, 1.0}) {
         MonitorConfig cfg;
         cfg.trigger_reads = 1;
         cfg.coverage_goal = goal;
         CandidateMonitor m(cfg);
-        m.arm(5000);
+        m.arm(armed);
         const std::vector<rmcc::addr::CounterValue> ladder = m.candidates();
         std::vector<std::uint64_t> below(ladder.size(), 0);
+        std::uint64_t high = 0;
         const int reads = 3000;
         for (int r = 0; r < reads; ++r) {
-            const auto rung = ladder[rng.nextBelow(ladder.size())];
-            const auto v = rung - 1 + rng.nextBelow(3) +
-                           (rng.nextBool(0.1) ? rng.nextBelow(4000) : 0);
+            rmcc::addr::CounterValue v = 0;
+            if (rng.nextBool(0.2)) {
+                const auto pick = rng.nextBelow(4);
+                v = pick == 0 ? armed : pick == 1 ? 0 : rng.nextBelow(armed);
+            } else {
+                const auto rung = ladder[rng.nextBelow(ladder.size())];
+                v = rung - 1 + rng.nextBelow(3) +
+                    (rng.nextBool(0.1) ? rng.nextBelow(4000) : 0);
+            }
             m.observeRead(v);
+            high += v > armed ? 1 : 0;
             for (std::size_t c = 0; c < ladder.size(); ++c)
                 below[c] += v < ladder[c] ? 1 : 0;
         }
+        EXPECT_EQ(m.highReads(), high) << "goal " << goal;
         rmcc::addr::CounterValue want = ladder.back();
         for (std::size_t c = 0; c < ladder.size(); ++c)
             if (static_cast<double>(below[c]) >= goal * reads) {

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "dram/ddr4.hpp"
 
 using namespace rmcc::dram;
@@ -70,13 +72,13 @@ TEST(Bank, RowHitFasterThanClosedFasterThanConflict)
     const DramConfig cfg = quietConfig();
     Bank bank;
     RowOutcome out;
-    const double closed = bank.issue(0.0, 5, cfg, out);
+    const double closed = bank.issue(0.0, 5, cfg, cfg.burstNs(), out);
     EXPECT_EQ(out, RowOutcome::Closed);
     const double t1 = bank.readyAt();
-    const double hit = bank.issue(t1, 5, cfg, out) - t1;
+    const double hit = bank.issue(t1, 5, cfg, cfg.burstNs(), out) - t1;
     EXPECT_EQ(out, RowOutcome::Hit);
     const double t2 = bank.readyAt();
-    const double conflict = bank.issue(t2, 9, cfg, out) - t2;
+    const double conflict = bank.issue(t2, 9, cfg, cfg.burstNs(), out) - t2;
     EXPECT_EQ(out, RowOutcome::Conflict);
     EXPECT_LT(hit, closed);
     EXPECT_LT(closed, conflict);
@@ -89,9 +91,9 @@ TEST(Bank, RowTimeoutClosesIdleRow)
     const DramConfig cfg = quietConfig();
     Bank bank;
     RowOutcome out;
-    bank.issue(0.0, 5, cfg, out);
+    bank.issue(0.0, 5, cfg, cfg.burstNs(), out);
     // Long idle: the 500 ns timeout precharges the row in the background.
-    bank.issue(10000.0, 5, cfg, out);
+    bank.issue(10000.0, 5, cfg, cfg.burstNs(), out);
     EXPECT_EQ(out, RowOutcome::Closed);
 }
 
@@ -138,6 +140,65 @@ TEST(Channel, FrFcfsCapBreaksHitStreak)
     // cap = 4: roughly every 5th access is forced to the conflict path.
     EXPECT_GE(conflicts, 2u);
     EXPECT_LE(conflicts, 4u);
+}
+
+TEST(Channel, GoldenCompletionDigest)
+{
+    // Completion times and outcomes on a random stream with refresh on,
+    // pinned bit for bit to reference digests: every row outcome, the
+    // open-row timeout, the FR-FCFS cap and the bus all feed done_ns.
+    // Table I's timings are short dyadic fractions, so regrouping their
+    // sums rarely changes a bit; the second geometry's are not, so any
+    // change to the order of the timing arithmetic shows there.
+    DramConfig odd;
+    odd.tCL_ns = 13.32;
+    odd.tRCD_ns = 13.17;
+    odd.tRP_ns = 12.89;
+    odd.data_rate_gtps = 2.933;
+    const struct
+    {
+        DramConfig cfg;
+        std::uint64_t digest;
+    } goldens[] = {
+        {DramConfig(), 0x52713732001e9995ULL},
+        {odd, 0x120f920bd6980f80ULL},
+    };
+    for (const auto &g : goldens) {
+        Channel ch(g.cfg, 0);
+        // FNV-1a over 64-bit words.
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        const auto add = [&h](std::uint64_t v) {
+            for (int b = 0; b < 8; ++b) {
+                h ^= (v >> (8 * b)) & 0xff;
+                h *= 0x100000001b3ULL;
+            }
+        };
+        std::uint64_t x = 0x2545f4914f6cdd1dULL;
+        double t = 0.0;
+        for (int i = 0; i < 50000; ++i) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Four banks with three rows each, so hits, conflicts and
+            // capped streaks all occur; one gap in 16 runs up to ~800 ns,
+            // past the 500 ns row timeout.
+            const DramCoord c{0, static_cast<unsigned>(x % 2),
+                              static_cast<unsigned>((x >> 8) % 2),
+                              (x >> 16) % 3, 0};
+            const std::uint64_t gap = (x >> 24) % 16 == 0 ? 1024 : 64;
+            t += static_cast<double>((x >> 32) % gap) * 0.7813;
+            const DramCompletion d = ch.serve(c, (x >> 44) & 1, t);
+            add(std::bit_cast<std::uint64_t>(d.done_ns));
+            add(static_cast<std::uint64_t>(d.outcome));
+        }
+        const ChannelStats &s = ch.stats();
+        add(s.row_hits);
+        add(s.row_closed);
+        add(s.row_conflicts);
+        add(std::bit_cast<std::uint64_t>(s.bus_busy_ns));
+        EXPECT_EQ(h, g.digest)
+            << "tCL " << g.cfg.tCL_ns << std::hex << " digest 0x" << h;
+    }
 }
 
 TEST(Ddr4, StatsAggregateAcrossAccesses)
